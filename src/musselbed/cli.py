@@ -432,6 +432,9 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     r_min = float(opts.get("r_min", 1.05))
     r_max = float(opts.get("r_max", 1.8))
     r_steps = int(opts.get("r_steps", 31))
+    if r_steps < 1:
+        raise CliError(EXIT_USAGE,
+                       f"r_steps must be at least 1, got {r_steps}")
     t_end = float(opts.get("t_end", 1200.0))
     dt = float(opts.get("dt", 0.01))
     transient = float(opts.get("transient_fraction", 0.6))

@@ -29,8 +29,8 @@ class ModelParams:
     tau    digestion delay
     l      domain half-length; the spatial domain is (0, l*pi)
 
-    All fields must be strictly positive except tau, which may be zero.
-    Mode n of the Neumann Laplacian has wave number n/l.
+    All fields must be finite and strictly positive except tau, which may
+    be zero.  Mode n of the Neumann Laplacian has wave number n/l.
     """
 
     r: float
@@ -43,10 +43,13 @@ class ModelParams:
     def __post_init__(self) -> None:
         for name in ("r", "alpha", "gamma", "d", "l"):
             value = getattr(self, name)
-            if not value > 0.0:
-                raise ValueError(f"{name} must be strictly positive, got {value!r}")
-        if not self.tau >= 0.0:
-            raise ValueError(f"tau must be nonnegative, got {self.tau!r}")
+            if not 0.0 < value < math.inf:
+                raise ValueError(
+                    f"{name} must be finite and strictly positive, "
+                    f"got {value!r}")
+        if not 0.0 <= self.tau < math.inf:
+            raise ValueError(
+                f"tau must be finite and nonnegative, got {self.tau!r}")
 
     def wavenumber_sq(self, n: int) -> float:
         """Squared wave number (n/l)**2 of the n-th cosine mode."""

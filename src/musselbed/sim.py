@@ -5,17 +5,20 @@ order central differences with mirror ghost points, diffusion integrated
 implicitly by the trapezoidal rule, kinetics (including the delayed
 terms) explicitly by two-step Adams-Bashforth extrapolation.  The time
 step is snapped to an exact divisor of the delay so the history is read
-from a ring buffer without interpolation.
+from a ring buffer without interpolation.  Runs that differ only in r
+step together as lanes of one state array.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from types import SimpleNamespace
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.signal import find_peaks
 
 from .exceptions import NumericalError
@@ -91,99 +94,156 @@ def _snap_dt(tau: float, dt_requested: float) -> tuple[float, int]:
 
 
 def _laplacian_apply(f: np.ndarray, h: float) -> np.ndarray:
-    """Second difference with mirror (zero-flux) closure at both ends."""
+    """Second difference along the last axis, mirror (zero-flux) closure."""
     out = np.empty_like(f)
-    out[1:-1] = f[:-2] - 2.0 * f[1:-1] + f[2:]
-    out[0] = 2.0 * (f[1] - f[0])
-    out[-1] = 2.0 * (f[-1 - 1] - f[-1])
+    out[..., 1:-1] = f[..., :-2] - 2.0 * f[..., 1:-1] + f[..., 2:]
+    out[..., 0] = 2.0 * (f[..., 1] - f[..., 0])
+    out[..., -1] = 2.0 * (f[..., -2] - f[..., -1])
     return out / (h * h)
 
 
-def _banded_crank_matrix(nx: int, h: float, coef: float) -> np.ndarray:
-    """Banded form of I - coef*Laplacian for the implicit half step."""
-    ab = np.zeros((3, nx))
+def _crank_factor(nx: int, h: float, coef: float) -> tuple[np.ndarray, ...]:
+    """LU factors of I - coef*Laplacian for the implicit half step."""
     inv_h2 = 1.0 / (h * h)
-    ab[1, :] = 1.0 + 2.0 * coef * inv_h2
-    ab[0, 1:] = -coef * inv_h2
-    ab[2, :-1] = -coef * inv_h2
-    ab[0, 1] = -2.0 * coef * inv_h2
-    ab[2, -2] = -2.0 * coef * inv_h2
-    return ab
+    lower = np.full(nx - 1, -coef * inv_h2)
+    upper = lower.copy()
+    upper[0] = lower[-1] = -2.0 * coef * inv_h2
+    diag = np.full(nx, 1.0 + 2.0 * coef * inv_h2)
+    *factors, info = dgttrf(lower, diag, upper)
+    if info != 0:
+        raise NumericalError(f"diffusion matrix factorization failed "
+                             f"(info {info})")
+    return tuple(factors)
 
 
-def _integrate(p: ModelParams, m0_of: Callable[[float], np.ndarray],
-               a0_of: Callable[[float], np.ndarray], nx: int, h: float,
-               t_end: float, dt_requested: float, diffusive: bool,
-               store_every: Optional[int]) -> Trajectory:
-    """Shared stepper behind the PDE and ODE entry points."""
+def _guard_message(t_now: float, hi_m: float, hi_a: float, lo_m: float,
+                   lo_a: float, a_bound: float) -> Optional[str]:
+    """Why one lane must stop, from its per-species extremes, or None.
+
+    max(hi, -lo) is the largest magnitude, NaN exactly when the field
+    holds a NaN, so the checks equal those made on the whole field.
+    """
+    peak = max(max(hi_m, -lo_m), max(hi_a, -lo_a))
+    if not math.isfinite(peak) or peak > _BLOWUP:
+        return f"field blow-up at t = {t_now:.4g} (magnitude {peak:.3e})"
+    low = min(lo_m, lo_a)
+    if low < _NEGATIVITY:
+        return f"negative field at t = {t_now:.4g} (minimum {low:.3e})"
+    if hi_a > a_bound:
+        return (f"algae bound violated at t = {t_now:.4g} "
+                f"(max {hi_a:.6g} > {a_bound:.6g})")
+    return None
+
+
+def _integrate(lanes: Sequence[ModelParams],
+               history: Callable[[float], tuple[np.ndarray, np.ndarray]],
+               grid: Optional[Grid], t_end: float, dt_requested: float,
+               store_every: Optional[int]
+               ) -> list[Trajectory | NumericalError]:
+    """The one stepper behind the PDE, the ODE and sweeps.
+
+    Each lane is one run; lanes share every parameter except r.  The
+    state is a single (2, B, nx) array: species (m, a), lane, grid point.
+    history(t) gives the (m, a) states at t in [-tau, 0], broadcastable
+    to (B, nx).  grid None means the spatially homogeneous reduction
+    (nx = 1, no diffusion).  A lane whose guards trip gets its
+    NumericalError in place of a Trajectory and drops out of the run;
+    the other lanes go on unchanged.
+    """
+    p = lanes[0]
+    if any(replace(q, r=p.r) != p for q in lanes):
+        raise ValueError("lanes may differ only in r")
     dt, lag = _snap_dt(p.tau, dt_requested)
     n_steps = max(1, int(round(t_end / dt)))
     if store_every is None:
         store_every = max(1, int(round(0.05 / dt)))
+    if store_every < 1:
+        raise ValueError("store_every must be a positive integer")
+    n_lanes = len(lanes)
+    nx = 1 if grid is None else grid.points
 
     slots = lag + 1
-    hist_m = np.empty((slots, nx))
-    hist_a = np.empty((slots, nx))
+    hist = np.empty((slots, 2, n_lanes, nx))
     for j in range(-lag, 1):
-        hist_m[j % slots] = m0_of(j * dt)
-        hist_a[j % slots] = a0_of(j * dt)
-    m = hist_m[0].copy()
-    a = hist_a[0].copy()
-    a_bound = max(float(np.max(np.abs(a))), 1.0) + _BOUND_SLACK
+        hist[j % slots, 0], hist[j % slots, 1] = history(j * dt)
+    if not np.isfinite(hist).all():
+        raise ValueError("initial history must be finite")
+    y = hist[0].copy()
+    a_bound = [max(float(np.max(np.abs(a0))), 1.0) + _BOUND_SLACK
+               for a0 in y[1]]
+    # Lanes drop out when they trip; `alive` maps the rows still stepped
+    # to lane numbers, and limits holds each row's ceilings (blow-up for
+    # m, the algae bound for a) for a check that is cheap when none trip.
+    alive = np.arange(n_lanes)
+    limits = np.array([[_BLOWUP] * n_lanes, a_bound])
+    # Kinetics read parameters by attribute, so r can be the lanes' column.
+    kin = SimpleNamespace(**vars(p))
+    kin.r = np.array([[q.r] for q in lanes])
+    errors: list[Optional[NumericalError]] = [None] * n_lanes
 
-    if diffusive:
-        ab_m = _banded_crank_matrix(nx, h, 0.5 * dt * p.d)
-        ab_a = _banded_crank_matrix(nx, h, 0.5 * dt / p.gamma)
+    if grid is not None:
+        coef_m, coef_a = 0.5 * dt * p.d, 0.5 * dt / p.gamma
+        coef = np.array([coef_m, coef_a])[:, None, None]
+        factors = (_crank_factor(nx, grid.h, coef_m),
+                   _crank_factor(nx, grid.h, coef_a))
 
-    times = [0.0]
-    frames_m = [m.copy()]
-    frames_a = [a.copy()]
-    prev_rm: Optional[np.ndarray] = None
-    prev_ra: Optional[np.ndarray] = None
+    n_frames = 1 + math.ceil(n_steps / store_every)
+    times = np.zeros(n_frames)
+    frames = np.empty((n_frames, 2, n_lanes, nx))
+    frames[0] = y
+    frame = 1
+    cols: slice | np.ndarray = slice(None)   # frame columns of the rows
+    prev: Optional[np.ndarray] = None
 
     for i in range(n_steps):
-        md = hist_m[(i - lag) % slots]
-        ad = hist_a[(i - lag) % slots]
-        rm, ra = reaction_rhs(m, a, md, ad, p)
-        if prev_rm is None:
-            prev_rm, prev_ra = rm, ra
-        eff_m = 1.5 * rm - 0.5 * prev_rm
-        eff_a = 1.5 * ra - 0.5 * prev_ra
-        prev_rm, prev_ra = rm, ra
-        if diffusive:
-            rhs_m = m + 0.5 * dt * p.d * _laplacian_apply(m, h) + dt * eff_m
-            rhs_a = a + (0.5 * dt / p.gamma) * _laplacian_apply(a, h) \
-                + dt * eff_a
-            m = solve_banded((1, 1), ab_m, rhs_m)
-            a = solve_banded((1, 1), ab_a, rhs_a)
+        delayed = hist[(i - lag) % slots]
+        rate = np.empty_like(y)
+        rate[0], rate[1] = reaction_rhs(y[0], y[1], delayed[0], delayed[1],
+                                        kin)
+        if prev is None:
+            prev = rate
+        eff = 1.5 * rate - 0.5 * prev
+        prev = rate
+        if grid is None:
+            y = y + dt * eff
         else:
-            m = m + dt * eff_m
-            a = a + dt * eff_a
-        hist_m[(i + 1) % slots] = m
-        hist_a[(i + 1) % slots] = a
+            y = y + coef * _laplacian_apply(y, grid.h) + dt * eff
+            for s in (0, 1):
+                # y[s].T is Fortran-ordered (nx, B): solved in place.
+                _, info = dgttrs(*factors[s], y[s].T, overwrite_b=1)
+                if info != 0:
+                    raise NumericalError(f"diffusion solve failed "
+                                         f"(info {info})")
+        hist[(i + 1) % slots] = y
 
-        t_now = (i + 1) * dt
-        peak = max(float(np.max(np.abs(m))), float(np.max(np.abs(a))))
-        if not math.isfinite(peak) or peak > _BLOWUP:
-            raise NumericalError(
-                f"field blow-up at t = {t_now:.4g} (magnitude {peak:.3e})")
-        low = min(float(np.min(m)), float(np.min(a)))
-        if low < _NEGATIVITY:
-            raise NumericalError(
-                f"negative field at t = {t_now:.4g} (minimum {low:.3e})")
-        if float(np.max(a)) > a_bound:
-            raise NumericalError(
-                f"algae bound violated at t = {t_now:.4g} "
-                f"(max {float(np.max(a)):.6g} > {a_bound:.6g})")
+        hi = y.max(axis=-1)
+        lo = y.min(axis=-1)
+        if not (lo.min() >= _NEGATIVITY and (hi <= limits).all()):
+            t_now = (i + 1) * dt
+            keep = []
+            for row, (hm, ha, lm, la, bound) in enumerate(zip(
+                    *hi.tolist(), *lo.tolist(), limits[1].tolist())):
+                msg = _guard_message(t_now, hm, ha, lm, la, bound)
+                if msg is not None:
+                    errors[alive[row]] = NumericalError(msg)
+                keep.append(msg is None)
+            if not all(keep):
+                if not any(keep):
+                    break
+                y, prev = y[:, keep], prev[:, keep]
+                hist = hist[:, :, keep]
+                kin.r = kin.r[keep]
+                limits = limits[:, keep]
+                alive = cols = alive[keep]
         if (i + 1) % store_every == 0 or i == n_steps - 1:
-            times.append(t_now)
-            frames_m.append(m.copy())
-            frames_a.append(a.copy())
+            times[frame] = (i + 1) * dt
+            frames[frame][:, cols] = y
+            frame += 1
 
-    return Trajectory(times=np.asarray(times),
-                      fields_m=np.asarray(frames_m),
-                      fields_a=np.asarray(frames_a),
-                      params=p, dt=dt)
+    return [errors[b] or Trajectory(times=times, fields_m=frames[:, 0, b],
+                                    fields_a=frames[:, 1, b],
+                                    params=q, dt=dt)
+            for b, q in enumerate(lanes)]
 
 
 def simulate_pde(p: ModelParams,
@@ -200,26 +260,24 @@ def simulate_pde(p: ModelParams,
     if grid.l != p.l:
         raise ValueError("grid domain scale differs from the model's")
     x = grid.x()
-
-    def m_of(t: float) -> np.ndarray:
-        return np.asarray(initial_history(x, t)[0], dtype=float)
-
-    def a_of(t: float) -> np.ndarray:
-        return np.asarray(initial_history(x, t)[1], dtype=float)
-
-    return _integrate(p, m_of, a_of, grid.points, grid.h, t_end, dt,
-                      diffusive=True, store_every=store_every)
+    return _single(_integrate([p], lambda t: initial_history(x, t), grid,
+                              t_end, dt, store_every))
 
 
 def simulate_ode(p: ModelParams, m0: float, a0: float,
                  t_end: float = 600.0, dt: float = 0.01,
                  store_every: Optional[int] = None) -> Trajectory:
     """Integrate the spatially homogeneous reduction from a constant history."""
-    m_arr = np.array([float(m0)])
-    a_arr = np.array([float(a0)])
-    return _integrate(p, lambda t: m_arr.copy(), lambda t: a_arr.copy(),
-                      1, 1.0, t_end, dt, diffusive=False,
-                      store_every=store_every)
+    state = (float(m0), float(a0))
+    return _single(_integrate([p], lambda t: state, None, t_end, dt,
+                              store_every))
+
+
+def _single(runs: list[Trajectory | NumericalError]) -> Trajectory:
+    """The trajectory of a one-lane run, or the error that stopped it."""
+    if isinstance(runs[0], NumericalError):
+        raise runs[0]
+    return runs[0]
 
 
 def lyapunov_value(m: np.ndarray, a: np.ndarray, p: ModelParams,
@@ -326,15 +384,37 @@ def amplitude_sweep(p_base: ModelParams, r_values: list[float],
     """Run the homogeneous reduction across a recruitment range.
 
     Each run starts from a fixed small displacement of the coexistence
-    state; failures are recorded per point and the sweep continues.
+    state, and all runs step together as lanes of one integration;
+    failures are recorded per point and the sweep continues.
     """
-    table: list[SweepPoint] = []
+    outcomes: list = []   # per r: its exception, or (params, equilibrium)
     for r in r_values:
-        p = replace(p_base, r=float(r))
         try:
+            p = replace(p_base, r=float(r))
             eq = positive_equilibrium(p)
-            traj = simulate_ode(p, eq.m * 1.05, eq.a, t_end=t_end, dt=dt)
-            summary = detect_orbit(traj, transient_fraction)
+        except Exception as exc:  # noqa: BLE001 - per-point fault isolation
+            outcomes.append(exc)
+        else:
+            outcomes.append((p, eq))
+    lanes = [o for o in outcomes if isinstance(o, tuple)]
+    runs: Iterator = iter(())
+    if lanes:
+        m0 = np.array([[eq.m * 1.05] for _, eq in lanes])
+        a0 = np.array([[eq.a] for _, eq in lanes])
+        try:
+            runs = iter(_integrate([p for p, _ in lanes], lambda t: (m0, a0),
+                                   None, t_end, dt, None))
+        except Exception as exc:  # noqa: BLE001 - fails every lane alike
+            runs = itertools.repeat(exc)
+
+    table: list[SweepPoint] = []
+    for r, outcome in zip(r_values, outcomes):
+        if isinstance(outcome, tuple):
+            outcome = next(runs)
+        try:
+            if isinstance(outcome, Exception):
+                raise outcome
+            summary = detect_orbit(outcome, transient_fraction)
             table.append(SweepPoint(r=float(r), summary=summary, error=None))
         except Exception as exc:  # noqa: BLE001 - per-point fault isolation
             table.append(SweepPoint(r=float(r), summary=None,

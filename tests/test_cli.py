@@ -84,6 +84,28 @@ def test_invalid_parameter_exit_code(tmp_path):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", *BASE, "--tau", "inf", "--ode", "--t-end", "1"],
+    ["tau-star", *BASE, "--l", "inf"],
+    ["classify", *BASE, "--gamma", "nan"],
+])
+def test_non_finite_parameter_is_a_usage_error(tmp_path, capsys, argv):
+    code = _run([*argv, "--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "finite" in err
+    assert os.listdir(tmp_path) == []
+
+
+def test_sweep_without_r_values_is_a_usage_error(tmp_path, capsys):
+    code = _run(["sweep", *BASE, "--r-steps", "0", "--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
+
+
 def test_missing_required_parameters_exit_code(tmp_path):
     code = _run(["classify", "--r", "2", "--out", str(tmp_path)])
     assert code == EXIT_USAGE

@@ -131,6 +131,14 @@ def test_parameter_validation_rejects_nonpositive_values():
     ModelParams(r=2.0, alpha=0.1, gamma=0.5, tau=0.0)
 
 
+@pytest.mark.parametrize("field", ["r", "alpha", "gamma", "d", "tau", "l"])
+@pytest.mark.parametrize("value", [math.inf, math.nan, -math.inf])
+def test_parameter_validation_rejects_non_finite_values(field, value):
+    values = {"r": 2.0, "alpha": 0.1, "gamma": 0.5, field: value}
+    with pytest.raises(ValueError, match="finite"):
+        ModelParams(**values)
+
+
 def test_wavenumber_squared():
     p = ModelParams(r=2.0, alpha=0.1, gamma=0.5, l=2.0)
     assert p.wavenumber_sq(0) == 0.0
