@@ -42,9 +42,6 @@ EXIT_HYPOTHESIS = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
-_THREAD_ENV = "MUSSELBED_THREADS"
-
-
 class CliError(Exception):
     """Carries the exit code together with the user-facing message."""
 
@@ -646,11 +643,6 @@ def run(cfg: RunConfig) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    threads = os.environ.get(_THREAD_ENV)
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

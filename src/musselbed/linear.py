@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
-
-from scipy.optimize import bisect
+from typing import Callable, Optional
 
 from .exceptions import HypothesisError, NumericalError
 from .model import (
@@ -32,6 +30,8 @@ from .model import (
 # bisection is robust and still cheap.
 _SCAN_POINTS = 10_000
 _EDGE = 1e-9
+_BISECT_MAXITER = 100
+_BISECT_RTOL = 4.0 * math.ulp(1.0)
 
 
 @dataclass(frozen=True)
@@ -77,6 +77,43 @@ class RHopfPoint:
 
     r: float
     transversality_sign: int
+
+
+def _bisect(f: Callable[[float], float], a: float, b: float,
+            xtol: float) -> float:
+    """Root of f in [a, b] by bisection, step for step as scipy's `bisect`.
+
+    Halves the bracket at most 100 times, moving a to the midpoint when f
+    there has the sign of f(a), and stops once the half-width is below
+    xtol + 4*eps*|midpoint|.  Signs are compared, not multiplied, so that
+    values whose product underflows to zero still steer the search.  A NaN value of f or a bracket without a sign change is a
+    ValueError; running out of halvings a RuntimeError.
+    """
+    def value(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; "
+                             "solver cannot continue.")
+        return fx
+
+    fa, fb = value(a), value(b)
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if (fa > 0.0) == (fb > 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    dm = b - a
+    for _ in range(_BISECT_MAXITER):
+        dm *= 0.5
+        xm = a + dm
+        fm = value(xm)
+        if (fm > 0.0) == (fa > 0.0):
+            a = xm
+        if fm == 0.0 or abs(dm) < xtol + _BISECT_RTOL * abs(xm):
+            return xm
+    raise RuntimeError(f"bisection failed to converge after "
+                       f"{_BISECT_MAXITER} iterations, value is {a}")
 
 
 def _j11(m_star: float) -> float:
@@ -166,7 +203,7 @@ def hopf_points_in_r(alpha: float, gamma: float) -> list[RHopfPoint]:
         if prev_f == 0.0:
             root = prev_r
         elif prev_f * cur_f < 0.0:
-            root = bisect(trace_gap, prev_r, cur_r, xtol=1e-12)
+            root = _bisect(trace_gap, prev_r, cur_r, xtol=1e-12)
         else:
             prev_r, prev_f = cur_r, cur_f
             continue
@@ -288,8 +325,8 @@ def turing_curve(alpha_range: tuple[float, float], d: float,
             cur_r = r_lo + k * step
             cur_f = disc_at(alpha, cur_r)
             if prev_f * cur_f < 0.0:
-                roots.append(bisect(lambda r: disc_at(alpha, r), prev_r, cur_r,
-                                    xtol=1e-12))
+                roots.append(_bisect(lambda r: disc_at(alpha, r), prev_r,
+                                     cur_r, xtol=1e-12))
             prev_r, prev_f = cur_r, cur_f
         branch = 0
         for root in sorted(roots):

@@ -19,7 +19,6 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
-from scipy.signal import find_peaks
 
 from .exceptions import NumericalError
 from .model import ModelParams, positive_equilibrium, reaction_rhs
@@ -295,6 +294,59 @@ def lyapunov_value(m: np.ndarray, a: np.ndarray, p: ModelParams,
     return float(np.trapezoid(integrand, grid.x()))
 
 
+def _find_peaks(x: np.ndarray, prominence: float) -> np.ndarray:
+    """Indices of the local maxima of x with at least the given prominence.
+
+    The same indices as scipy's `find_peaks(x, prominence=...)[0]`.  A
+    maximum is a run of equal samples with a lower sample on each side,
+    reported at its middle (left of centre for an even width).  Its
+    prominence is its height over the higher of the lowest samples met
+    walking out each way until a higher sample, a NaN, or the end of x.
+    """
+    x = np.asarray(x, dtype=float)
+    change = np.flatnonzero(x[1:] != x[:-1])   # a NaN is a run of its own
+    before, after = x[change], x[change + 1]
+    top = (before < after)[:-1] & (before > after)[1:]
+    peaks = (change[:-1][top] + 1 + change[1:][top]) // 2
+    if peaks.size == 0:
+        return peaks
+    # Peaks and NaNs cut x into stretches that fall and then rise.  A walk
+    # passes exactly the cuts no higher than its peak (never a NaN: no
+    # comparison with NaN holds) and reaches the lowest sample of every
+    # stretch it enters, so its lowest sample is the least of those
+    # stretch minima.  low[j] is the least sample after cut j-1 up to and
+    # including cut j, and low[-1] that of the samples after the last cut;
+    # a stretch a walk enters always holds a number.
+    cuts = np.sort(np.concatenate((peaks, np.flatnonzero(np.isnan(x)))))
+    low = np.fmin.reduceat(np.append(x, np.nan),
+                           np.concatenate(([0], cuts + 1))).tolist()
+    height = x[cuts].tolist()
+    left = _lowest_back_to_higher(low[:-1], height)
+    right = _lowest_back_to_higher(low[:0:-1], height[::-1])[::-1]
+    at = np.searchsorted(cuts, peaks)
+    base = np.maximum(np.take(left, at), np.take(right, at))
+    return peaks[x[peaks] - base >= prominence]
+
+
+def _lowest_back_to_higher(low: list[float], height: list[float]
+                           ) -> list[float]:
+    """Per cut i, the least of low[k+1..i], where k is the last cut before
+    i that is higher than cut i (or -1 if there is none).
+
+    One pass, with a stack of the cuts that no later cut has passed yet,
+    each with the least low back to its own higher cut.
+    """
+    out: list[float] = []
+    stack: list[tuple[float, float]] = []
+    for low_i, height_i in zip(low, height):
+        least = low_i
+        while stack and stack[-1][0] <= height_i:
+            least = min(least, stack.pop()[1])
+        out.append(least)
+        stack.append((height_i, least))
+    return out
+
+
 def _signal_stats(sig: np.ndarray, times: np.ndarray
                   ) -> tuple[bool, Optional[float], float]:
     """Periodicity of a scalar signal: (verdict, period, peak span)."""
@@ -302,7 +354,7 @@ def _signal_stats(sig: np.ndarray, times: np.ndarray
     if span <= _DETECTION_FLOOR or len(sig) < 8:
         return False, None, span
     prominence = max(_DETECTION_FLOOR, 0.02 * span)
-    idx, _ = find_peaks(sig, prominence=prominence)
+    idx = _find_peaks(sig, prominence)
     if len(idx) < 5:
         return False, None, span
     peak_times = []
