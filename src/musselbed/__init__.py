@@ -14,10 +14,10 @@ from .exceptions import HypothesisError, MusselbedError, NumericalError
 from .linear import (RHopfPoint, SpectralCoeffsNoDelay, TuringCurvePoint,
                      TuringReport, boundary_stability, char_coeffs_no_delay,
                      eigenvalues_no_delay, hopf_points_in_r, r_star,
-                     stable_mode_floor, turing_analysis, turing_curve)
+                     turing_analysis, turing_curve)
 from .model import (Equilibrium, HypothesisReport, ModelParams,
-                    boundary_equilibrium, check_hypotheses, delta0,
-                    hypothesis_h1, positive_equilibrium, reaction_rhs, rho0)
+                    check_hypotheses, delta0, hypothesis_h1,
+                    positive_equilibrium, reaction_rhs, rho0)
 from .normal_form import (CenterManifoldTerms, Eigenpair, HopfCoefficients,
                           NonlinearExpansion, center_manifold_terms,
                           eigenpair, g_coefficients, hopf_coefficients,
@@ -56,7 +56,6 @@ __all__ = [
     "TuringReport",
     "amplitude_sweep",
     "bilinear_pairing_quadrature",
-    "boundary_equilibrium",
     "boundary_stability",
     "center_manifold_terms",
     "char_coeffs_no_delay",
@@ -86,7 +85,6 @@ __all__ = [
     "rho0",
     "simulate_ode",
     "simulate_pde",
-    "stable_mode_floor",
     "tau_star",
     "transversality_at",
     "turing_analysis",

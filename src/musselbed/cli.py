@@ -2,7 +2,7 @@
 
 One invocation runs one subcommand against one parameter set, assembled
 from an optional JSON config file, repeatable ``--set key=value``
-overrides, and named flags (training order: config < --set < flags).
+overrides, and named flags (precedence: config < --set < flags).
 All numeric output is serialized with 12 significant digits so repeated
 runs with identical inputs produce byte-identical files.
 
@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Any, Optional
 
 import numpy as np
@@ -28,8 +28,7 @@ from .linear import (boundary_stability, hopf_points_in_r, r_star,
                      turing_analysis, turing_curve)
 from .model import (ModelParams, check_hypotheses, delta0,
                     positive_equilibrium, rho0)
-from .normal_form import (center_manifold_terms, eigenpair, g_coefficients,
-                          hopf_coefficients)
+from .normal_form import hopf_coefficients
 from .sim import (Grid, amplitude_sweep, detect_orbit, lyapunov_value,
                   simulate_ode, simulate_pde)
 from . import delay as delay_mod
@@ -158,12 +157,40 @@ def _apply_set(config: dict[str, Any], assignment: str) -> None:
     node[parts[-1]] = value
 
 
-_PARAM_FIELDS = ("r", "alpha", "gamma", "d", "tau", "l")
+_PARAM_FIELDS = tuple(f.name for f in fields(ModelParams))
+_REQUIRED_PARAMS = tuple(f.name for f in fields(ModelParams)
+                         if f.default is MISSING)
+
+# Each command's options: name -> (type, default).  The flag is the name
+# with dashes; a bool option is a switch.  A None default is worked out by
+# the command itself (from the coexistence state, or by the callee).
+_OPTIONS: dict[str, dict[str, tuple[type, Any]]] = {
+    "classify": {},
+    "hopf-curve": {"samples": (int, 400)},
+    "turing-curve": {"alpha_min": (float, 0.05), "alpha_max": (float, 0.95),
+                     "resolution": (int, 50)},
+    "tau-star": {"n_max": (int, None), "j_max": (int, 0)},
+    "normal-form": {},
+    "simulate": {"grid_n": (int, 128), "dt": (float, 0.01),
+                 "t_end": (float, 600.0), "amplitude": (float, 0.1),
+                 "wavenumber": (int, 2), "m0": (float, None),
+                 "a0": (float, None), "transient_fraction": (float, 0.5),
+                 "ode": (bool, False)},
+    "sweep": {"r_min": (float, 1.05), "r_max": (float, 1.8),
+              "r_steps": (int, 31), "t_end": (float, 1200.0),
+              "dt": (float, 0.01), "transient_fraction": (float, 0.6)},
+    "verify": {"spectrum_n": (int, 200), "draws": (int, 25)},
+}
 
 
 def _build_params(config: dict[str, Any],
                   args: argparse.Namespace) -> ModelParams:
-    raw = dict(config.get("params", {}))
+    raw = config.get("params", {})
+    if not isinstance(raw, dict):
+        raise CliError(EXIT_USAGE,
+                       f"config entry 'params' must be a JSON object, "
+                       f"got {raw!r}")
+    raw = dict(raw)
     unknown = set(raw) - set(_PARAM_FIELDS)
     if unknown:
         raise CliError(EXIT_USAGE,
@@ -173,7 +200,7 @@ def _build_params(config: dict[str, Any],
         flag = getattr(args, f"param_{name}", None)
         if flag is not None:
             raw[name] = flag
-    missing = [n for n in ("r", "alpha", "gamma") if n not in raw]
+    missing = [n for n in _REQUIRED_PARAMS if n not in raw]
     if missing:
         raise CliError(EXIT_USAGE,
                        f"missing required parameter(s): {', '.join(missing)}")
@@ -184,19 +211,34 @@ def _build_params(config: dict[str, Any],
         raise CliError(EXIT_USAGE, f"invalid model parameters: {exc}") from exc
 
 
-def _opt(config: dict[str, Any], args: argparse.Namespace, name: str,
-         cast, default):
-    """Option resolution: named flag beats config entry beats default."""
-    flag = getattr(args, name.replace("-", "_"), None)
-    if flag is not None:
-        return flag
-    if name in config:
-        try:
-            return cast(config[name])
-        except (TypeError, ValueError) as exc:
-            raise CliError(EXIT_USAGE,
-                           f"config option {name!r}: {exc}") from exc
-    return default
+def _cast_option(name: str, kind: type, value: Any) -> Any:
+    """A config value as the option's type; booleans and fractional
+    numbers are not integers, and only true/false are booleans."""
+    if kind is bool and not isinstance(value, bool):
+        raise CliError(EXIT_USAGE, f"config option {name!r}: expected true "
+                                   f"or false, got {value!r}")
+    if kind is int and (isinstance(value, bool) or (
+            isinstance(value, float) and not value.is_integer())):
+        raise CliError(EXIT_USAGE, f"config option {name!r}: expected an "
+                                   f"integer, got {value!r}")
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise CliError(EXIT_USAGE,
+                       f"config option {name!r}: {exc}") from exc
+
+
+def _resolve_options(command: str, config: dict[str, Any],
+                     args: argparse.Namespace) -> dict[str, Any]:
+    """Every option of the command: named flag beats config entry beats
+    default."""
+    options: dict[str, Any] = {}
+    for name, (kind, default) in _OPTIONS[command].items():
+        value = getattr(args, name)
+        if value is None and config.get(name) is not None:
+            value = _cast_option(name, kind, config[name])
+        options[name] = default if value is None else value
+    return options
 
 
 def _cmd_classify(cfg: RunConfig) -> int:
@@ -235,12 +277,11 @@ def _cmd_classify(cfg: RunConfig) -> int:
 
 def _cmd_hopf_curve(cfg: RunConfig) -> int:
     p = cfg.params
-    samples = int(cfg.options.get("samples", 400))
     points = hopf_points_in_r(p.alpha, p.gamma)
     star = r_star(p.alpha)
     lo, hi = 1.0 + 1e-9, 1.0 / p.alpha - 1e-9
     rows = []
-    for r in np.linspace(lo, hi, samples):
+    for r in np.linspace(lo, hi, cfg.options["samples"]):
         q = replace(p, r=float(r))
         rows.append([float(r), delta0(q) ** 2 - rho0(q)])
     _write_csv(cfg.out_dir, "hopf_margin.csv", ["r", "oscillation_margin"],
@@ -262,9 +303,9 @@ def _cmd_hopf_curve(cfg: RunConfig) -> int:
 
 def _cmd_turing_curve(cfg: RunConfig) -> int:
     p = cfg.params
-    amin = float(cfg.options.get("alpha_min", 0.05))
-    amax = float(cfg.options.get("alpha_max", 0.95))
-    resolution = int(cfg.options.get("resolution", 50))
+    amin = cfg.options["alpha_min"]
+    amax = cfg.options["alpha_max"]
+    resolution = cfg.options["resolution"]
     pts = turing_curve((amin, amax), p.d, resolution)
     _write_csv(cfg.out_dir, "turing_curve.csv", ["alpha", "r", "branch"],
                [[pt.alpha, pt.r, pt.branch] for pt in pts])
@@ -277,10 +318,8 @@ def _cmd_turing_curve(cfg: RunConfig) -> int:
 
 def _cmd_tau_star(cfg: RunConfig) -> int:
     p = cfg.params
-    n_max = cfg.options.get("n_max")
-    j_max = int(cfg.options.get("j_max", 0))
-    ts = tau_star(p, n_max=None if n_max is None else int(n_max),
-                  j_max=j_max)
+    ts = tau_star(p, n_max=cfg.options["n_max"],
+                  j_max=cfg.options["j_max"])
     _write_csv(cfg.out_dir, "critical_delays.csv",
                ["n", "j", "omega", "tau", "transversality"],
                [[hp.n, hp.j, hp.omega, hp.tau_crit, hp.transversality]
@@ -294,12 +333,8 @@ def _cmd_tau_star(cfg: RunConfig) -> int:
 
 
 def _cmd_normal_form(cfg: RunConfig) -> int:
-    p = cfg.params
-    ts = tau_star(p)
-    ep = eigenpair(p, ts.n0, ts.omega, ts.tau)
-    g = g_coefficients(p, ep)
-    cm = center_manifold_terms(p, ep, g)
-    hc = hopf_coefficients(p)
+    hc = hopf_coefficients(cfg.params)
+    ts, ep, cm = hc.tau_star, hc.eigenpair, hc.manifold
     payload = {
         "tau_star": ts.tau, "critical_mode": ts.n0, "omega": ts.omega,
         "eigenpair": {"q1": ep.q1, "q2": ep.q2, "m_norm": ep.m_norm},
@@ -364,24 +399,20 @@ print("wrote timeseries.png")
 def _cmd_simulate(cfg: RunConfig) -> int:
     p = cfg.params
     opts = cfg.options
-    t_end = float(opts.get("t_end", 600.0))
-    dt = float(opts.get("dt", 0.01))
-    transient = float(opts.get("transient_fraction", 0.5))
-    if bool(opts.get("ode", False)):
-        if "m0" in opts and "a0" in opts:
-            m0, a0 = float(opts["m0"]), float(opts["a0"])
-        else:
+    t_end, dt = opts["t_end"], opts["dt"]
+    if opts["ode"]:
+        m0, a0 = opts["m0"], opts["a0"]
+        if m0 is None or a0 is None:
             eq = positive_equilibrium(p)
-            m0 = float(opts.get("m0", eq.m * 1.05))
-            a0 = float(opts.get("a0", eq.a))
+            m0 = eq.m * 1.05 if m0 is None else m0
+            a0 = eq.a if a0 is None else a0
         traj = simulate_ode(p, m0, a0, t_end=t_end, dt=dt)
         grid = None
     else:
-        grid = Grid(int(opts.get("grid_n", 128)), p.l)
-        history = _history_factory(p, float(opts.get("amplitude", 0.1)),
-                                   int(opts.get("wavenumber", 2)))
+        grid = Grid(opts["grid_n"], p.l)
+        history = _history_factory(p, opts["amplitude"], opts["wavenumber"])
         traj = simulate_pde(p, history, grid, t_end=t_end, dt=dt)
-    summary = detect_orbit(traj, transient)
+    summary = detect_orbit(traj, opts["transient_fraction"])
 
     ts_rows = []
     for k, t in enumerate(traj.times):
@@ -426,18 +457,13 @@ def _cmd_simulate(cfg: RunConfig) -> int:
 def _cmd_sweep(cfg: RunConfig) -> int:
     p = cfg.params
     opts = cfg.options
-    r_min = float(opts.get("r_min", 1.05))
-    r_max = float(opts.get("r_max", 1.8))
-    r_steps = int(opts.get("r_steps", 31))
+    r_min, r_max, r_steps = opts["r_min"], opts["r_max"], opts["r_steps"]
     if r_steps < 1:
         raise CliError(EXIT_USAGE,
                        f"r_steps must be at least 1, got {r_steps}")
-    t_end = float(opts.get("t_end", 1200.0))
-    dt = float(opts.get("dt", 0.01))
-    transient = float(opts.get("transient_fraction", 0.6))
     rs = [float(v) for v in np.linspace(r_min, r_max, r_steps)]
-    table = amplitude_sweep(p, rs, t_end=t_end, dt=dt,
-                            transient_fraction=transient)
+    table = amplitude_sweep(p, rs, t_end=opts["t_end"], dt=opts["dt"],
+                            transient_fraction=opts["transient_fraction"])
     rows = []
     oscillating = []
     for pt in table:
@@ -466,14 +492,11 @@ def _cmd_sweep(cfg: RunConfig) -> int:
 
 def _cmd_verify(cfg: RunConfig) -> int:
     p = cfg.params
-    opts = cfg.options
-    spectrum_n = int(opts.get("spectrum_n", 200))
-    draws = int(opts.get("draws", 25))
     checks: list[tuple[str, bool, str]] = []
 
     rng = np.random.default_rng(20260816)
     worst = 0.0
-    for _ in range(draws):
+    for _ in range(cfg.options["draws"]):
         alpha = float(rng.uniform(0.05, 0.9))
         r = float(rng.uniform(1.0 + 0.05, 1.0 / alpha - 1e-6))
         q = ModelParams(r=r, alpha=alpha, gamma=float(rng.uniform(0.1, 5.0)),
@@ -487,7 +510,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
     checks.append(("delay_free_consistency", worst < 1e-10,
                    f"max identity residual {worst:.3e}"))
 
-    grid = Grid(spectrum_n, p.l)
+    grid = Grid(cfg.options["spectrum_n"], p.l)
     spectrum = verify_mod.discrete_spectrum(p, grid, 12)
     worst_rel = 0.0
     for n in range(0, 5):
@@ -497,7 +520,8 @@ def _cmd_verify(cfg: RunConfig) -> int:
     checks.append(("discrete_spectrum_match", worst_rel < 1e-3,
                    f"worst relative mismatch {worst_rel:.3e}"))
 
-    ts = tau_star(p)
+    hc = hopf_coefficients(p)
+    ts = hc.tau_star
     track = verify_mod.newton_track_root(p, ts.n0, 0.0, ts.tau * 1.3, 60)
     if track.crossing_tau is None:
         checks.append(("newton_crossing_match", False, "no crossing found"))
@@ -506,7 +530,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
         checks.append(("newton_crossing_match", gap < 1e-6,
                        f"|tracked - closed form| = {gap:.3e}"))
 
-    ep = eigenpair(p, ts.n0, ts.omega, ts.tau)
+    ep = hc.eigenpair
     same = verify_mod.bilinear_pairing_quadrature(
         p, ep.q1, ep.q2, ep.m_norm, ep.omega, ep.tau_star, ep.n0)
     cross = verify_mod.bilinear_pairing_quadrature(
@@ -558,20 +582,6 @@ _COMMANDS = {
     "verify": _cmd_verify,
 }
 
-_OPTION_KEYS = {
-    "classify": [],
-    "hopf-curve": ["samples"],
-    "turing-curve": ["alpha_min", "alpha_max", "resolution"],
-    "tau-star": ["n_max", "j_max"],
-    "normal-form": [],
-    "simulate": ["grid_n", "dt", "t_end", "amplitude", "wavenumber", "ode",
-                 "m0", "a0", "transient_fraction"],
-    "sweep": ["r_min", "r_max", "r_steps", "t_end", "dt",
-              "transient_fraction"],
-    "verify": ["spectrum_n", "draws"],
-}
-
-
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON config file")
     sub.add_argument("--set", action="append", default=[], metavar="K=V",
@@ -589,22 +599,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     "mussel-algae reaction-diffusion model")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    extra_flags: dict[str, list[tuple[str, type]]] = {
-        "classify": [],
-        "hopf-curve": [("samples", int)],
-        "turing-curve": [("alpha-min", float), ("alpha-max", float),
-                         ("resolution", int)],
-        "tau-star": [("n-max", int), ("j-max", int)],
-        "normal-form": [],
-        "simulate": [("grid-n", int), ("dt", float), ("t-end", float),
-                     ("amplitude", float), ("wavenumber", int),
-                     ("m0", float), ("a0", float),
-                     ("transient-fraction", float)],
-        "sweep": [("r-min", float), ("r-max", float), ("r-steps", int),
-                  ("t-end", float), ("dt", float),
-                  ("transient-fraction", float)],
-        "verify": [("spectrum-n", int), ("draws", int)],
-    }
     helps = {
         "classify": "hypotheses, equilibria and spatial stability verdict",
         "hopf-curve": "oscillation-onset values of r at fixed alpha, gamma",
@@ -615,16 +609,15 @@ def _build_parser() -> argparse.ArgumentParser:
         "sweep": "amplitude sweep across a recruitment range",
         "verify": "run the independent-oracle consistency suite",
     }
-    for cmd, flags in extra_flags.items():
+    for cmd, options in _OPTIONS.items():
         sub = subs.add_parser(cmd, help=helps[cmd])
         _add_common(sub)
-        for flag, kind in flags:
-            sub.add_argument(f"--{flag}", dest=flag.replace("-", "_"),
-                             type=kind)
-        if cmd == "simulate":
-            sub.add_argument("--ode", action="store_true", default=None,
-                             help="integrate the spatially homogeneous "
-                                  "reduction instead of the PDE")
+        for name, (kind, default) in options.items():
+            how = ({"action": "store_true", "default": None} if kind is bool
+                   else {"type": kind})
+            sub.add_argument(f"--{name.replace('_', '-')}", **how,
+                             help=None if default is None
+                             else f"default: {default}")
     return parser
 
 
@@ -652,13 +645,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         for assignment in args.set:
             _apply_set(config, assignment)
         params = _build_params(config, args)
-        options: dict[str, Any] = {}
-        for key in _OPTION_KEYS[args.command]:
-            value = _opt(config, args, key, lambda v: v, None)
-            if value is not None:
-                options[key] = value
         cfg = RunConfig(command=args.command, params=params,
-                        options=options, out_dir=args.out)
+                        options=_resolve_options(args.command, config, args),
+                        out_dir=args.out)
         return run(cfg)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,6 +20,10 @@ from .exceptions import HypothesisError, NumericalError
 from .model import ModelParams, check_hypotheses, positive_equilibrium
 
 TWO_PI = 2.0 * math.pi
+# tau_star scans this many modes past the first crossing-free one, and
+# refuses a ceiling past the cap rather than start a long useless scan.
+_CEILING_MARGIN = 5
+_CEILING_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -157,17 +161,23 @@ def critical_delays(p: ModelParams, n: int, j_max: int = 3) -> list[HopfPoint]:
     ]
 
 
-def mode_ceiling(p: ModelParams, margin: int = 5, n_cap: int = 10_000) -> int:
+def mode_ceiling(p: ModelParams) -> int:
     """Scan ceiling for crossing modes: first n with d_n - m_n >= 0, plus margin.
 
-    d_n - m_n is an upward parabola in the squared wave number, so every mode
-    at or beyond the returned ceiling (minus the margin) admits no crossing.
+    In u = (n/l)^2, d_n - m_n is the upward parabola d u^2 + B u - C with
+    B = d (alpha + m*) + r^2 a*^2 m* > 0 and C = r a* m* (1 - alpha r) > 0
+    under h1, so every mode with u at or past its positive root u_plus
+    admits no crossing.  u_plus is taken in its cancellation-free form.
     """
-    for n in range(n_cap + 1):
-        c = delay_char_coeffs(p, n)
-        if c.d_n - c.m_n >= 0.0:
-            return n + margin
-    raise NumericalError(f"no crossing-free mode found below n = {n_cap}")
+    eq = positive_equilibrium(p)
+    b = p.d * (p.alpha + eq.m) + p.r ** 2 * eq.a ** 2 * eq.m
+    c = p.r * eq.a * eq.m * (1.0 - p.alpha * p.r)
+    u_plus = 2.0 * c / (b + math.sqrt(b * b + 4.0 * p.d * c))
+    n = math.ceil(p.l * math.sqrt(u_plus))
+    if n > _CEILING_CAP:
+        raise NumericalError(
+            f"no crossing-free mode found below n = {_CEILING_CAP}")
+    return n + _CEILING_MARGIN
 
 
 def tau_star(p: ModelParams, n_max: Optional[int] = None, j_max: int = 0) -> TauStar:

@@ -20,7 +20,6 @@ from .model import (
     ModelParams,
     check_hypotheses,
     delta0,
-    hypothesis_h1,
     positive_equilibrium,
     rho0,
 )
@@ -344,30 +343,3 @@ def turing_curve(alpha_range: tuple[float, float], d: float,
             points.append(TuringCurvePoint(alpha, root, branch))
             branch += 1
     return points
-
-
-def stable_mode_floor(p: ModelParams) -> int:
-    """Smallest N such that every mode n >= N has positive trace and determinant.
-
-    Exists for every parameter set with a coexistence state because both
-    coefficients are upward parabolas in the squared wave number: the trace
-    is positive past its single zero, the determinant past its larger root.
-    """
-    if not hypothesis_h1(p):
-        raise HypothesisError("stable_mode_floor requires the coexistence state (h1)")
-    eq = positive_equilibrium(p)
-    # largest squared wave number at which either coefficient is still <= 0
-    u_trace = (p.gamma * p.r ** 2 * eq.a ** 2 * eq.m - p.alpha / eq.a) \
-        / (1.0 + p.gamma * p.d)
-    g, d0 = _detcoeffs(p)
-    disc = g * g - 4.0 * p.d * d0
-    u_det = (-g + math.sqrt(disc)) / (2.0 * p.d) if disc >= 0.0 else 0.0
-    u_bad = max(u_trace, u_det, 0.0)
-    n = math.isqrt(int(u_bad * p.l * p.l)) + 2
-    while n > 0:
-        c = char_coeffs_no_delay(p, n - 1)
-        if c.t_tilde > 0.0 and c.d_tilde > 0.0:
-            n -= 1
-        else:
-            break
-    return n

@@ -93,11 +93,6 @@ def reaction_rhs(m_now, a_now, m_delayed, a_delayed, p: ModelParams):
     return dm, da
 
 
-def boundary_equilibrium() -> Equilibrium:
-    """The mussel-free steady state (0, 1)."""
-    return Equilibrium(0.0, 1.0)
-
-
 def hypothesis_h1(p: ModelParams) -> bool:
     """True iff 0 < alpha < 1 < r < 1/alpha (strict, exact comparisons)."""
     return 0.0 < p.alpha < 1.0 < p.r < 1.0 / p.alpha

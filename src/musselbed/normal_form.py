@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .delay import char_residual, eigenvalue_slope, tau_star
+from .delay import TauStar, char_residual, eigenvalue_slope, tau_star
 from .exceptions import NumericalError
 from .linear import _j11
 from .model import ModelParams, positive_equilibrium
@@ -116,7 +116,8 @@ class CenterManifoldTerms:
 
 @dataclass(frozen=True)
 class HopfCoefficients:
-    """Normal-form constants and the resulting orbit classification."""
+    """Normal-form constants and the resulting orbit classification,
+    with the crossing, eigenpair and manifold terms they were built from."""
 
     g20: complex
     g11: complex
@@ -129,6 +130,9 @@ class HopfCoefficients:
     direction: str
     orbit_stability: str
     period_trend: str
+    tau_star: TauStar
+    eigenpair: Eigenpair
+    manifold: CenterManifoldTerms
 
 
 def eigenpair(p: ModelParams, n0: int, omega: float, tau: float) -> Eigenpair:
@@ -204,10 +208,8 @@ def _quadratic_brackets(p: ModelParams, ep: Eigenpair
     Gamma^{-1} f restricted to the eigenplane (spatial profile factored
     out).
     """
-    eq = positive_equilibrium(p)
-    s = 1.0 + eq.m
-    c2 = 1.0 / s ** 2
-    c3 = eq.m / s ** 3
+    ex = nonlinear_expansion(p)
+    c2, c3 = ex.uu_cross, -ex.uu_delay
     em = cmath.exp(-1j * ep.omega * ep.tau_star)
     epl = em.conjugate()
     q1, q1c = ep.q1, ep.q1.conjugate()
@@ -326,11 +328,9 @@ def center_manifold_terms(p: ModelParams, ep: Eigenpair,
     w20_m1, w20_0 = w20(-1.0), w20(0.0)
     w11_m1, w11_0 = w11(-1.0), w11(0.0)
 
-    s = 1.0 + eq.m
-    c2 = 1.0 / s ** 2
-    c3 = eq.m / s ** 3
-    c4 = eq.m / s ** 4
-    c5 = 1.0 / s ** 3
+    ex = nonlinear_expansion(p)
+    c2, c3, c4, c5 = (ex.uu_cross, -ex.uu_delay, ex.uuu_delay,
+                      -ex.u_uu_delay)
     em = cmath.exp(-1j * wt)
     epl = em.conjugate()
     q1, q1c = ep.q1, ep.q1.conjugate()
@@ -382,4 +382,5 @@ def hopf_coefficients(p: ModelParams) -> HopfCoefficients:
         direction="forward" if mu2 > 0 else "backward",
         orbit_stability="stable" if beta2 < 0 else "unstable",
         period_trend="increasing" if t2 > 0 else "decreasing",
+        tau_star=ts, eigenpair=ep, manifold=cm,
     )

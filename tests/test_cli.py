@@ -140,6 +140,44 @@ def test_unknown_config_parameter_is_rejected(tmp_path):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("command, config, name", [
+    ("simulate", {"ode": "false", "t_end": 1}, "ode"),
+    ("turing-curve", {"resolution": 2.7}, "resolution"),
+    ("tau-star", {"n_max": "x"}, "n_max"),
+    ("verify", {"draws": True}, "draws"),
+])
+def test_config_option_of_the_wrong_type_is_a_usage_error(
+        tmp_path, capsys, command, config, name):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": {"r": 2.0, "alpha": 0.1,
+                                          "gamma": 0.5}, **config}))
+    out = tmp_path / "out"
+    code = _run([command, "--config", str(cfg), "--out", str(out)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config option '{name}': ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("params", [None, [2.0, 0.1, 0.5], "r=2"],
+                         ids=["set", "config-list", "config-string"])
+def test_params_entry_that_is_not_an_object_is_a_usage_error(
+        tmp_path, capsys, params):
+    if params is None:
+        argv = ["--set", "params=3"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"params": params}))
+        argv = ["--config", str(cfg)]
+    code = _run(["classify", *BASE, *argv, "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: config entry 'params' must be a JSON "
+                          "object")
+    assert err.count("\n") == 1
+
+
 def test_repeated_runs_are_byte_identical(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     for out in (out_a, out_b):

@@ -9,13 +9,14 @@ checked against a finite difference of Newton-tracked roots.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from musselbed import (HypothesisError, ModelParams, char_coeffs_no_delay,
-                       char_residual, check_hypotheses, critical_delays,
-                       crossing_frequency, delay_char_coeffs,
+from musselbed import (HypothesisError, ModelParams, NumericalError,
+                       char_coeffs_no_delay, char_residual, check_hypotheses,
+                       critical_delays, crossing_frequency, delay_char_coeffs,
                        eigenvalue_slope, mode_ceiling, tau_star,
                        transversality_at)
 from musselbed.verify import _newton
@@ -110,6 +111,40 @@ def test_first_delay_is_minimal_over_crossing_modes():
         for n in ts.s0:
             first = critical_delays(p, n, j_max=0)[0]
             assert first.tau_crit >= ts.tau - 1e-12
+
+
+def _scanned_mode_ceiling(p: ModelParams, margin: int = 5,
+                          n_cap: int = 10_000) -> int:
+    """Reference for mode_ceiling: scan modes for the first d_n >= m_n."""
+    for n in range(n_cap + 1):
+        c = delay_char_coeffs(p, n)
+        if c.d_n - c.m_n >= 0.0:
+            return n + margin
+    raise NumericalError(f"no crossing-free mode found below n = {n_cap}")
+
+
+def test_closed_form_mode_ceiling_equals_the_mode_scan():
+    rng = np.random.default_rng(812)
+    points = []
+    for _ in range(300):
+        alpha = float(rng.uniform(0.05, 0.9))
+        points.append(ModelParams(
+            r=float(rng.uniform(1.05, 1.0 / alpha - 1e-6)), alpha=alpha,
+            gamma=float(rng.uniform(0.1, 5.0)),
+            d=float(rng.uniform(0.01, 2.0)), l=float(rng.uniform(0.5, 2.0))))
+    # The box corner with the most modes below the ceiling.
+    points += [replace(q, d=0.01 + 1e-4 * k, l=2.0 - 1e-3 * k)
+               for k, q in enumerate(points[:30])]
+    for p in points:
+        assert mode_ceiling(p) == _scanned_mode_ceiling(p)
+
+
+def test_mode_ceiling_refuses_a_ceiling_past_the_cap():
+    p = replace(REFERENCE, l=1e5)
+    with pytest.raises(NumericalError):
+        _scanned_mode_ceiling(p)
+    with pytest.raises(NumericalError, match="below n = 10000"):
+        mode_ceiling(p)
 
 
 def test_modes_above_the_ceiling_admit_no_crossing():

@@ -13,7 +13,7 @@ import pytest
 from musselbed import (HypothesisError, ModelParams, boundary_stability,
                        char_coeffs_no_delay, eigenvalues_no_delay,
                        hopf_points_in_r, positive_equilibrium, r_star,
-                       stable_mode_floor, turing_analysis, turing_curve)
+                       turing_analysis, turing_curve)
 
 
 def _seeded_admissible_params(count: int, seed: int = 1523):
@@ -151,18 +151,6 @@ def test_pattern_onset_curve_validates_inputs():
         turing_curve((0.5, 1.5), 0.01)
     with pytest.raises(ValueError):
         turing_curve((0.1, 0.6), 0.01, resolution=0)
-
-
-def test_stable_mode_floor_bounds_the_unstable_band():
-    for p in _seeded_admissible_params(20, seed=33):
-        floor = stable_mode_floor(p)
-        for n in (floor, floor + 1, floor + 7):
-            c = char_coeffs_no_delay(p, n)
-            assert c.t_tilde > 0.0
-            assert c.d_tilde > 0.0
-        if floor > 0:
-            c = char_coeffs_no_delay(p, floor - 1)
-            assert c.t_tilde <= 0.0 or c.d_tilde <= 0.0
 
 
 def test_strict_band_analysis_rejects_oscillatory_base_state():

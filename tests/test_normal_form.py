@@ -137,6 +137,40 @@ def test_kinetics_expansion_truncation_is_fourth_order():
     assert 12.0 < ratio < 20.0
 
 
+def test_kinetics_expansion_matches_symbolic_taylor_series():
+    # Independent oracle: sympy expands the raw kinetics in the deviation
+    # variables; every quadratic and cubic monomial must be one of the
+    # expansion's fields, with the same coefficient.
+    sp = pytest.importorskip("sympy")
+    u, ud, v, vd, eps = sp.symbols("u ud v vd eps")
+    fields = {"f1": {(1, 0, 0, 1): "uv_delay", (1, 1, 0, 0): "uu_cross",
+                     (0, 2, 0, 0): "uu_delay", (0, 3, 0, 0): "uuu_delay",
+                     (1, 2, 0, 0): "u_uu_delay"},
+              "f2": {(1, 0, 1, 0): "uv_now"}}
+    rng = np.random.default_rng(1405)
+    for _ in range(3):
+        alpha = float(rng.uniform(0.05, 0.9))
+        p = ModelParams(r=float(rng.uniform(1.05, 1.0 / alpha - 1e-6)),
+                        alpha=alpha, gamma=float(rng.uniform(0.1, 5.0)))
+        eq = positive_equilibrium(p)
+        expansion = nonlinear_expansion(p)
+        m, a, r, al = (sp.Rational(x) for x in (eq.m, eq.a, p.r, p.alpha))
+        kinetics = {"f1": (m + u) * (r * (a + vd) - 1 / (1 + m + ud)),
+                    "f2": al * (1 - (a + v)) - (m + u) * (a + v)}
+        scaled = {u: eps * u, ud: eps * ud, v: eps * v, vd: eps * vd}
+        for name, f in kinetics.items():
+            series = sp.series(f.subs(scaled), eps, 0, 4).removeO()
+            found = {}
+            for order in (2, 3):
+                poly = sp.Poly(sp.expand(series.coeff(eps, order)),
+                               u, ud, v, vd)
+                found.update(poly.as_dict())
+            assert set(found) == set(fields[name])
+            for monomial, field in fields[name].items():
+                assert getattr(expansion, field) == pytest.approx(
+                    float(found[monomial]), rel=1e-14, abs=0.0)
+
+
 def test_reference_quadratic_projections():
     ep = eigenpair(REFERENCE, 0, REF_OMEGA, REF_TAU)
     g20, g11, g02 = g_coefficients(REFERENCE, ep)
@@ -198,6 +232,15 @@ def test_reference_lyapunov_constants():
     assert hc.direction == "forward"
     assert hc.orbit_stability == "stable"
     assert hc.period_trend == "decreasing"
+    # The intermediates it returns are the ones a step-by-step run builds.
+    ts = tau_star(REFERENCE)
+    ep = eigenpair(REFERENCE, ts.n0, ts.omega, ts.tau)
+    cm = center_manifold_terms(REFERENCE, ep,
+                               g_coefficients(REFERENCE, ep))
+    assert hc.tau_star == ts
+    assert hc.eigenpair == ep
+    assert (hc.manifold.q1_term, hc.manifold.q2_term) == (cm.q1_term,
+                                                          cm.q2_term)
 
 
 def test_lyapunov_constant_assembles_from_projections():
