@@ -26,8 +26,8 @@ from .delay import tau_star
 from .exceptions import HypothesisError, NumericalError
 from .linear import (boundary_stability, hopf_points_in_r, r_star,
                      turing_analysis, turing_curve)
-from .model import (ModelParams, check_hypotheses, delta0,
-                    positive_equilibrium, rho0)
+from .model import (ModelParams, check_hypotheses, hopf_margin,
+                    positive_equilibrium)
 from .normal_form import hopf_coefficients
 from .sim import (Grid, amplitude_sweep, detect_orbit, lyapunov_value,
                   simulate_ode, simulate_pde)
@@ -212,15 +212,17 @@ def _build_params(config: dict[str, Any],
 
 
 def _cast_option(name: str, kind: type, value: Any) -> Any:
-    """A config value as the option's type; booleans and fractional
-    numbers are not integers, and only true/false are booleans."""
+    """A config value as the option's type; only true/false are booleans,
+    booleans are not numbers and fractional numbers are not integers."""
     if kind is bool and not isinstance(value, bool):
         raise CliError(EXIT_USAGE, f"config option {name!r}: expected true "
                                    f"or false, got {value!r}")
-    if kind is int and (isinstance(value, bool) or (
-            isinstance(value, float) and not value.is_integer())):
-        raise CliError(EXIT_USAGE, f"config option {name!r}: expected an "
-                                   f"integer, got {value!r}")
+    if kind is not bool and (isinstance(value, bool) or (
+            kind is int and isinstance(value, float)
+            and not value.is_integer())):
+        what = "an integer" if kind is int else "a number"
+        raise CliError(EXIT_USAGE, f"config option {name!r}: expected "
+                                   f"{what}, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -280,10 +282,8 @@ def _cmd_hopf_curve(cfg: RunConfig) -> int:
     points = hopf_points_in_r(p.alpha, p.gamma)
     star = r_star(p.alpha)
     lo, hi = 1.0 + 1e-9, 1.0 / p.alpha - 1e-9
-    rows = []
-    for r in np.linspace(lo, hi, cfg.options["samples"]):
-        q = replace(p, r=float(r))
-        rows.append([float(r), delta0(q) ** 2 - rho0(q)])
+    rows = [[float(r), hopf_margin(replace(p, r=float(r)))]
+            for r in np.linspace(lo, hi, cfg.options["samples"])]
     _write_csv(cfg.out_dir, "hopf_margin.csv", ["r", "oscillation_margin"],
                rows)
     _write_csv(cfg.out_dir, "hopf_points.csv",
@@ -323,7 +323,7 @@ def _cmd_tau_star(cfg: RunConfig) -> int:
     _write_csv(cfg.out_dir, "critical_delays.csv",
                ["n", "j", "omega", "tau", "transversality"],
                [[hp.n, hp.j, hp.omega, hp.tau_crit, hp.transversality]
-                for hp in ts.first_crossings])
+                for hp in ts.crossings])
     _write_json(cfg.out_dir, "tau_star_report.json", {
         "tau_star": ts.tau, "critical_mode": ts.n0, "omega": ts.omega,
         "crossing_modes": list(ts.s0)})
@@ -510,14 +510,16 @@ def _cmd_verify(cfg: RunConfig) -> int:
     checks.append(("delay_free_consistency", worst < 1e-10,
                    f"max identity residual {worst:.3e}"))
 
+    # Roots meet the whole spectrum; the error is second order in 1/N.
     grid = Grid(cfg.options["spectrum_n"], p.l)
-    spectrum = verify_mod.discrete_spectrum(p, grid, 12)
+    spectrum = verify_mod.discrete_spectrum(p, grid, 2 * grid.points)
     worst_rel = 0.0
     for n in range(0, 5):
         for lam in linear_mod.eigenvalues_no_delay(p, n):
             nearest = min(spectrum, key=lambda z: abs(z - lam))
             worst_rel = max(worst_rel, abs(nearest - lam) / max(abs(lam), 1e-12))
-    checks.append(("discrete_spectrum_match", worst_rel < 1e-3,
+    checks.append(("discrete_spectrum_match",
+                   worst_rel < 1e-3 * (200 / grid.n) ** 2,
                    f"worst relative mismatch {worst_rel:.3e}"))
 
     hc = hopf_coefficients(p)

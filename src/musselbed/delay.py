@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .exceptions import HypothesisError, NumericalError
@@ -64,15 +64,15 @@ class TauStar:
 
     tau is the minimum over contributing modes of the first critical delay,
     attained by mode n0 at frequency omega.  s0 lists every mode (up to the
-    scanned ceiling) admitting an imaginary-axis crossing, and first_crossings
-    holds the j = 0 crossing of each such mode.
+    scanned ceiling) admitting an imaginary-axis crossing, and crossings
+    holds the critical delays j = 0..j_max of each such mode, mode by mode.
     """
 
     tau: float
     n0: int
     omega: float
     s0: tuple[int, ...]
-    first_crossings: tuple[HopfPoint, ...]
+    crossings: tuple[HopfPoint, ...]
 
 
 def delay_char_coeffs(p: ModelParams, n: int) -> SpectralCoeffsDelay:
@@ -82,7 +82,7 @@ def delay_char_coeffs(p: ModelParams, n: int) -> SpectralCoeffsDelay:
     t_n = p.alpha + eq.m + (1.0 + p.gamma * p.d) * ksq
     m_n = p.r * eq.a * eq.m * (1.0 - p.alpha * p.r - p.r * eq.a * ksq)
     d_n = p.d * (p.alpha + eq.m + ksq) * ksq
-    b = -p.gamma * p.r ** 2 * eq.a ** 2 * eq.m
+    b = -p.gamma * eq.delayed_self
     script_t = t_n * t_n - 2.0 * p.gamma * d_n - b * b
     return SpectralCoeffsDelay(n, t_n, m_n, d_n, b, script_t)
 
@@ -94,13 +94,14 @@ def char_residual(p: ModelParams, n: int, lam: complex, tau: float) -> complex:
             + (c.b * lam + c.m_n) * cmath.exp(-lam * tau) + c.d_n)
 
 
-def crossing_frequency(p: ModelParams, n: int) -> Optional[float]:
-    """Frequency at which mode n's eigenvalues can reach the imaginary axis.
+def _crossing(p: ModelParams, n: int) -> Optional[HopfPoint]:
+    """Mode n's first (j = 0) critical delay from one set of coefficients,
+    or None when the mode admits no imaginary-axis crossing.
 
-    Substituting lam = i*omega leads to a quadratic in z = omega**2 whose
-    unique positive root exists exactly when d_n**2 - m_n**2 < 0; returns
-    sqrt of that root, or None when the mode admits no crossing.
-    """
+    lam = i*omega gives gamma^2 z^2 + script_t z + gap = 0 in z = omega**2,
+    with a unique positive root exactly when gap = d_n**2 - m_n**2 < 0.
+    The crossing phase is the two-argument arctangent of the exact
+    (cos, sin) pair of the crossing condition, in [0, 2*pi)."""
     c = delay_char_coeffs(p, n)
     if c.script_t <= 0.0:
         raise HypothesisError(
@@ -115,63 +116,65 @@ def crossing_frequency(p: ModelParams, n: int) -> Optional[float]:
                 "the mode is already unstable without delay"
             )
         return None
-    z = (-c.script_t + math.sqrt(c.script_t ** 2 - 4.0 * p.gamma ** 2 * gap)) \
-        / (2.0 * p.gamma ** 2)
-    return math.sqrt(z)
-
-
-def transversality_at(p: ModelParams, n: int) -> float:
-    """Crossing-speed expression for mode n; strictly positive on any crossing.
-
-    This is the real part of the reciprocal eigenvalue slope in tau at the
-    crossing, which shares its sign with the actual slope.
-    """
-    omega = crossing_frequency(p, n)
-    if omega is None:
-        raise HypothesisError(f"mode {n} admits no imaginary-axis crossing")
-    c = delay_char_coeffs(p, n)
-    gap = c.d_n * c.d_n - c.m_n * c.m_n
     radicand = c.script_t ** 2 - 4.0 * p.gamma ** 2 * gap
     if radicand <= 0.0:
         raise NumericalError(f"mode {n}: degenerate crossing (zero radicand)")
-    return math.sqrt(radicand) / (c.b ** 2 * omega ** 2 + c.m_n ** 2)
-
-
-def critical_delays(p: ModelParams, n: int, j_max: int = 3) -> list[HopfPoint]:
-    """The first j_max + 1 critical delays of mode n, in increasing order.
-
-    The crossing phase is recovered from the exact (cos, sin) pair of the
-    imaginary-axis condition via the two-argument arctangent mapped into
-    [0, 2*pi); successive delays differ by exactly 2*pi/omega.
-    """
-    omega = crossing_frequency(p, n)
-    if omega is None:
-        raise HypothesisError(f"mode {n} admits no imaginary-axis crossing")
-    c = delay_char_coeffs(p, n)
-    den = c.m_n ** 2 + omega ** 2 * c.b ** 2
-    if den == 0.0:
-        raise NumericalError(f"mode {n}: singular phase normalization")
+    root = math.sqrt(radicand)
+    # z = (-script_t + root) / (2 gamma^2) loses every digit when the gap
+    # is small against script_t; this form has no cancellation.
+    omega = math.sqrt(-2.0 * gap / (c.script_t + root))
+    den = c.m_n ** 2 + omega ** 2 * c.b ** 2   # >= m_n**2 > 0 when gap < 0
     cos_val = ((p.gamma * c.m_n - c.b * c.t_n) * omega ** 2 - c.m_n * c.d_n) / den
     sin_val = (c.m_n * c.t_n * omega + omega * c.b * (p.gamma * omega ** 2 - c.d_n)) / den
     angle = math.atan2(sin_val, cos_val) % TWO_PI
-    trans = transversality_at(p, n)
-    return [
-        HopfPoint(n, j, omega, (angle + TWO_PI * j) / omega, trans)
-        for j in range(j_max + 1)
-    ]
+    return HopfPoint(n, 0, omega, angle / omega, root / den)
+
+
+def crossing_frequency(p: ModelParams, n: int) -> Optional[float]:
+    """Frequency at which mode n's eigenvalues can reach the imaginary axis,
+    or None when the mode admits no crossing."""
+    crossing = _crossing(p, n)
+    return None if crossing is None else crossing.omega
+
+
+def _crossing_of(p: ModelParams, n: int) -> HopfPoint:
+    crossing = _crossing(p, n)
+    if crossing is None:
+        raise HypothesisError(f"mode {n} admits no imaginary-axis crossing")
+    return crossing
+
+
+def _ladder(first: HopfPoint, j_max: int) -> list[HopfPoint]:
+    """first and the next j_max critical delays of its mode, 2*pi/omega
+    apart."""
+    return [replace(first, j=j,
+                    tau_crit=first.tau_crit + TWO_PI * j / first.omega)
+            for j in range(j_max + 1)]
+
+
+def transversality_at(p: ModelParams, n: int) -> float:
+    """Crossing-speed expression for mode n; strictly positive on any
+    crossing.  It is the real part of the reciprocal eigenvalue slope in
+    tau at the crossing, which shares its sign with the actual slope."""
+    return _crossing_of(p, n).transversality
+
+
+def critical_delays(p: ModelParams, n: int, j_max: int = 3) -> list[HopfPoint]:
+    """The first j_max + 1 critical delays of mode n, in increasing order."""
+    return _ladder(_crossing_of(p, n), j_max)
 
 
 def mode_ceiling(p: ModelParams) -> int:
     """Scan ceiling for crossing modes: first n with d_n - m_n >= 0, plus margin.
 
     In u = (n/l)^2, d_n - m_n is the upward parabola d u^2 + B u - C with
-    B = d (alpha + m*) + r^2 a*^2 m* > 0 and C = r a* m* (1 - alpha r) > 0
-    under h1, so every mode with u at or past its positive root u_plus
+    B = d (alpha + m*) + m*/(1+m*)^2 > 0 and C = m_0 = r a* m* (1 - alpha r)
+    > 0 under h1, so every mode with u at or past its positive root u_plus
     admits no crossing.  u_plus is taken in its cancellation-free form.
     """
     eq = positive_equilibrium(p)
-    b = p.d * (p.alpha + eq.m) + p.r ** 2 * eq.a ** 2 * eq.m
-    c = p.r * eq.a * eq.m * (1.0 - p.alpha * p.r)
+    b = p.d * (p.alpha + eq.m) + eq.delayed_self
+    c = delay_char_coeffs(p, 0).m_n
     u_plus = 2.0 * c / (b + math.sqrt(b * b + 4.0 * p.d * c))
     n = math.ceil(p.l * math.sqrt(u_plus))
     if n > _CEILING_CAP:
@@ -198,14 +201,9 @@ def tau_star(p: ModelParams, n_max: Optional[int] = None, j_max: int = 0) -> Tau
         )
     if n_max is None:
         n_max = mode_ceiling(p)
-    s0: list[int] = []
-    firsts: list[HopfPoint] = []
-    for n in range(n_max + 1):
-        if crossing_frequency(p, n) is None:
-            continue
-        s0.append(n)
-        firsts.append(critical_delays(p, n, j_max=j_max)[0])
-    if not s0:
+    firsts = [_crossing(p, n) for n in range(n_max + 1)]
+    firsts = [hp for hp in firsts if hp is not None]
+    if not firsts:
         raise HypothesisError(
             "no mode admits an imaginary-axis crossing: the coexistence "
             "state is stable for every delay"
@@ -215,8 +213,9 @@ def tau_star(p: ModelParams, n_max: Optional[int] = None, j_max: int = 0) -> Tau
         tau=best.tau_crit,
         n0=best.n,
         omega=best.omega,
-        s0=tuple(s0),
-        first_crossings=tuple(firsts),
+        s0=tuple(hp.n for hp in firsts),
+        crossings=tuple(hp for first in firsts
+                        for hp in _ladder(first, j_max)),
     )
 
 

@@ -19,9 +19,9 @@ from .exceptions import HypothesisError, NumericalError
 from .model import (
     ModelParams,
     check_hypotheses,
-    delta0,
+    hopf_margin,
     positive_equilibrium,
-    rho0,
+    zero_mode_determinant,
 )
 
 # Number of initial subdivisions for sign-scans before bisection; the scanned
@@ -31,6 +31,8 @@ _SCAN_POINTS = 10_000
 _EDGE = 1e-9
 _BISECT_MAXITER = 100
 _BISECT_RTOL = 4.0 * math.ulp(1.0)
+# turing_analysis reports the least mode determinant over modes 0.._TURING_MODES.
+_TURING_MODES = 50
 
 
 @dataclass(frozen=True)
@@ -115,20 +117,35 @@ def _bisect(f: Callable[[float], float], a: float, b: float,
                        f"{_BISECT_MAXITER} iterations, value is {a}")
 
 
-def _j11(m_star: float) -> float:
-    """Self-activation entry of the kinetic Jacobian, m*/(1+m*)^2."""
-    return m_star / (1.0 + m_star) ** 2
+def _scan_roots(f: Callable[[float], float], lo: float,
+                hi: float) -> list[float]:
+    """Roots of f on [lo, hi], in increasing order, from a sign-scan of
+    _SCAN_POINTS cells: every grid point where f is exactly zero, and the
+    bisected root of every cell whose end values have opposite signs."""
+    step = (hi - lo) / _SCAN_POINTS
+    roots: list[float] = []
+    prev_x, prev_f = lo, f(lo)
+    for i in range(1, _SCAN_POINTS + 1):
+        x = lo + i * step
+        fx = f(x)
+        if prev_f == 0.0:
+            roots.append(prev_x)
+        elif prev_f * fx < 0.0:
+            roots.append(_bisect(f, prev_x, x, xtol=1e-12))
+        prev_x, prev_f = x, fx
+    if prev_f == 0.0:
+        roots.append(prev_x)
+    return roots
 
 
 def char_coeffs_no_delay(p: ModelParams, n: int) -> SpectralCoeffsNoDelay:
     """Quadratic coefficients of mode n for the delay-free linearization."""
     eq = positive_equilibrium(p)
+    g, d0 = _detcoeffs(p)
     ksq = p.wavenumber_sq(n)
-    t_tilde = (1.0 + p.gamma * p.d) * ksq + p.alpha / eq.a \
-        - p.gamma * p.r ** 2 * eq.a ** 2 * eq.m
-    d_tilde = p.d * ksq ** 2 \
-        + (p.d * p.alpha / eq.a - p.r ** 2 * eq.a ** 2 * eq.m) * ksq \
-        + p.alpha * p.r * (p.r - 1.0) * eq.a
+    t_tilde = (p.alpha + eq.m + (1.0 + p.gamma * p.d) * ksq
+               - p.gamma * eq.delayed_self)
+    d_tilde = p.d * ksq ** 2 + g * ksq + d0
     return SpectralCoeffsNoDelay(n, t_tilde, d_tilde)
 
 
@@ -143,20 +160,16 @@ def eigenvalues_no_delay(p: ModelParams, n: int) -> tuple[complex, complex]:
     )
 
 
-def boundary_stability(p: ModelParams, n_max: int = 20) -> str:
+def boundary_stability(p: ModelParams) -> str:
     """Stability verdict for the mussel-free state (0, 1).
 
     Mode n contributes real eigenvalues r - 1 - d*n^2/l^2 and
-    -(alpha + n^2/l^2)/gamma; every eigenvalue except the homogeneous
-    r - 1 is strictly negative, so the verdict follows the sign of the
-    rightmost eigenvalue over the scanned modes: "stable" when negative,
-    "unstable" when positive, "marginal" at zero (exactly r = 1).
+    -(alpha + n^2/l^2)/gamma.  Both decrease in n, so the rightmost
+    eigenvalue is mode 0's max(r - 1, -alpha/gamma), and the verdict
+    follows its sign: "stable" when negative, "unstable" when positive,
+    "marginal" at zero (exactly r = 1).
     """
-    rightmost = max(
-        max(p.r - 1.0 - p.d * p.wavenumber_sq(n),
-            -(p.alpha + p.wavenumber_sq(n)) / p.gamma)
-        for n in range(n_max + 1)
-    )
+    rightmost = max(p.r - 1.0, -p.alpha / p.gamma)
     if rightmost > 0.0:
         return "unstable"
     if rightmost == 0.0:
@@ -178,7 +191,7 @@ def r_star(alpha: float) -> float:
 def hopf_points_in_r(alpha: float, gamma: float) -> list[RHopfPoint]:
     """All Hopf critical values of r for the non-spatial system.
 
-    Finds the roots of delta0(r)^2 - rho0(r) on (1, 1/alpha) by a dense
+    Finds the roots of hopf_margin in r on (1, 1/alpha) by a dense
     sign-scan followed by bisection.  Points coinciding with r_star (where
     the crossing speed vanishes) are excluded.  Returns the empty list when
     the trace never changes sign.
@@ -186,42 +199,23 @@ def hopf_points_in_r(alpha: float, gamma: float) -> list[RHopfPoint]:
     if not 0.0 < alpha < 1.0:
         raise HypothesisError(f"hopf_points_in_r needs 0 < alpha < 1, got {alpha!r}")
 
-    def trace_gap(r: float) -> float:
-        p = ModelParams(r=r, alpha=alpha, gamma=gamma)
-        return delta0(p) ** 2 - rho0(p)
+    def margin(r: float) -> float:
+        return hopf_margin(ModelParams(r=r, alpha=alpha, gamma=gamma))
 
-    lo = 1.0 + _EDGE
-    hi = 1.0 / alpha - _EDGE
     rs = r_star(alpha)
-    points: list[RHopfPoint] = []
-    step = (hi - lo) / _SCAN_POINTS
-    prev_r, prev_f = lo, trace_gap(lo)
-    for i in range(1, _SCAN_POINTS + 1):
-        cur_r = lo + i * step
-        cur_f = trace_gap(cur_r)
-        if prev_f == 0.0:
-            root = prev_r
-        elif prev_f * cur_f < 0.0:
-            root = _bisect(trace_gap, prev_r, cur_r, xtol=1e-12)
-        else:
-            prev_r, prev_f = cur_r, cur_f
-            continue
-        if abs(root - rs) > 1e-9:
-            sign = 1 if root < rs else -1
-            points.append(RHopfPoint(root, sign))
-        prev_r, prev_f = cur_r, cur_f
-    return points
+    return [RHopfPoint(root, 1 if root < rs else -1)
+            for root in _scan_roots(margin, 1.0 + _EDGE, 1.0 / alpha - _EDGE)
+            if abs(root - rs) > 1e-9]
 
 
 def _detcoeffs(p: ModelParams) -> tuple[float, float]:
     """(g, d_tilde_0): slope and intercept of the determinant in k^2."""
     eq = positive_equilibrium(p)
-    g = p.d * p.alpha / eq.a - p.r ** 2 * eq.a ** 2 * eq.m
-    d0 = p.alpha * p.r * (p.r - 1.0) * eq.a
-    return g, d0
+    g = p.d * (p.alpha + eq.m) - eq.delayed_self
+    return g, zero_mode_determinant(p, eq)
 
 
-def turing_analysis(p: ModelParams, n_scan: int = 50, strict: bool = True) -> TuringReport:
+def turing_analysis(p: ModelParams, strict: bool = True) -> TuringReport:
     """Classify diffusion-driven instability of the coexistence state.
 
     The mode determinant is the upward parabola d*u^2 + g*u + d_tilde(0) in
@@ -246,7 +240,7 @@ def turing_analysis(p: ModelParams, n_scan: int = 50, strict: bool = True) -> Tu
         min_value = d0
 
     best_n, best_value = 0, d0
-    for n in range(n_scan + 1):
+    for n in range(_TURING_MODES + 1):
         u = p.wavenumber_sq(n)
         value = p.d * u * u + g * u + d0
         if value < best_value:
@@ -307,30 +301,17 @@ def turing_curve(alpha_range: tuple[float, float], d: float,
     if resolution < 1:
         raise ValueError("resolution must be at least 1")
 
-    def disc_at(alpha: float, r: float) -> float:
-        p = ModelParams(r=r, alpha=alpha, gamma=1.0, d=d)
-        g, d0 = _detcoeffs(p)
-        return g * g - 4.0 * d * d0
-
     points: list[TuringCurvePoint] = []
     for i in range(resolution):
         alpha = lo if resolution == 1 else lo + (hi - lo) * i / (resolution - 1)
-        r_lo = 1.0 + _EDGE
-        r_hi = 1.0 / alpha - _EDGE
-        step = (r_hi - r_lo) / _SCAN_POINTS
-        roots: list[float] = []
-        prev_r, prev_f = r_lo, disc_at(alpha, r_lo)
-        for k in range(1, _SCAN_POINTS + 1):
-            cur_r = r_lo + k * step
-            cur_f = disc_at(alpha, cur_r)
-            if prev_f * cur_f < 0.0:
-                roots.append(_bisect(lambda r: disc_at(alpha, r), prev_r,
-                                     cur_r, xtol=1e-12))
-            prev_r, prev_f = cur_r, cur_f
+
+        def disc(r: float) -> float:
+            g, d0 = _detcoeffs(ModelParams(r=r, alpha=alpha, gamma=1.0, d=d))
+            return g * g - 4.0 * d * d0
+
         branch = 0
-        for root in sorted(roots):
-            p = ModelParams(r=root, alpha=alpha, gamma=1.0, d=d)
-            g, d0 = _detcoeffs(p)
+        for root in _scan_roots(disc, 1.0 + _EDGE, 1.0 / alpha - _EDGE):
+            g, d0 = _detcoeffs(ModelParams(r=root, alpha=alpha, gamma=1.0, d=d))
             if g >= 0.0:
                 continue
             kc_sq = -g / (2.0 * d)

@@ -63,6 +63,11 @@ class Equilibrium:
     m: float
     a: float
 
+    @property
+    def delayed_self(self) -> float:
+        """m/(1+m)^2, the derivative of dm/dt in the delayed m."""
+        return self.m / (1.0 + self.m) ** 2
+
 
 @dataclass(frozen=True)
 class HypothesisReport:
@@ -126,13 +131,23 @@ def rho0(p: ModelParams) -> float:
     return p.r * (1.0 - p.alpha) / (p.gamma * (p.r - 1.0))
 
 
+def hopf_margin(p: ModelParams) -> float:
+    """delta0^2 - rho0: negative exactly where h2 holds, zero at Hopf points."""
+    return delta0(p) ** 2 - rho0(p)
+
+
+def zero_mode_determinant(p: ModelParams, eq: Equilibrium) -> float:
+    """alpha*r*(r - 1)*a*, gamma times the kinetic Jacobian's determinant."""
+    return p.alpha * p.r * (p.r - 1.0) * eq.a
+
+
 def check_hypotheses(p: ModelParams) -> HypothesisReport:
     """Evaluate the three structural hypotheses with strict comparisons.
 
     h2 is delta0(r)^2 - rho0(r) < 0.  h3 holds when either
     d*gamma*rho0 - delta0^2 > 0, or that quantity is negative and
-    (d*gamma*rho0 - delta0^2)^2 - 4*d*D0/m*^2 < 0, where D0 is the
-    zero-mode determinant alpha*r*(r - 1)*a*.
+    (d*gamma*rho0 - delta0^2)^2 - 4*d*D0/m*^2 < 0, where D0 is
+    zero_mode_determinant.
 
     Boundary cases (equalities) are reported false.  When r <= 1 makes
     rho0 undefined, or the coexistence state is missing, h2/h3 are
@@ -146,7 +161,7 @@ def check_hypotheses(p: ModelParams) -> HypothesisReport:
 
     d0 = delta0(p)
     r0 = rho0(p)
-    h2_value = d0 * d0 - r0
+    h2_value = hopf_margin(p)
     h2 = h2_value < 0.0
     details.append(("delta0^2 - rho0", h2_value))
 
@@ -157,7 +172,7 @@ def check_hypotheses(p: ModelParams) -> HypothesisReport:
         return HypothesisReport(h1, h2, False, tuple(details))
 
     eq = positive_equilibrium(p)
-    d_tilde_0 = p.alpha * p.r * (p.r - 1.0) * eq.a
+    d_tilde_0 = zero_mode_determinant(p, eq)
     spread = p.d * p.gamma * r0 - d0 * d0
     disc = spread * spread - 4.0 * p.d * d_tilde_0 / (eq.m * eq.m)
     h3 = spread > 0.0 or (spread < 0.0 and disc < 0.0)

@@ -25,7 +25,6 @@ import numpy as np
 
 from .delay import TauStar, char_residual, eigenvalue_slope, tau_star
 from .exceptions import NumericalError
-from .linear import _j11
 from .model import ModelParams, positive_equilibrium
 
 _RESIDUAL_TOL = 1e-8
@@ -155,8 +154,7 @@ def eigenpair(p: ModelParams, n0: int, omega: float, tau: float) -> Eigenpair:
     # Left null vector of the mode matrix is (shift/(r m* e^{-i w tau}), 1);
     # the adjoint for the Gamma-weighted pairing carries an extra 1/gamma.
     q2 = shift / (p.gamma * p.r * eq.m * rot)
-    j11 = _j11(eq.m)
-    denom = (q1 + q2) + tau * q2 * (j11 + q1 * p.r * eq.m) * rot
+    denom = (q1 + q2) + tau * q2 * (eq.delayed_self + q1 * p.r * eq.m) * rot
     if abs(denom) < _DET_GUARD:
         raise NumericalError("degenerate eigenvector normalization")
     m_norm = 1.0 / denom
@@ -173,15 +171,15 @@ def eigenpair(p: ModelParams, n0: int, omega: float, tau: float) -> Eigenpair:
 def _pairings(p: ModelParams, ep: Eigenpair) -> tuple[complex, complex]:
     """Closed-form bilinear pairings (q*, q) and (q*, conj q)."""
     eq = positive_equilibrium(p)
-    j11 = _j11(eq.m)
     wt = ep.omega * ep.tau_star
     rot = cmath.exp(-1j * wt)
     same = ep.m_norm * ((ep.q1 + ep.q2)
                         + ep.tau_star * ep.q2
-                        * (j11 + ep.q1 * p.r * eq.m) * rot)
+                        * (eq.delayed_self + ep.q1 * p.r * eq.m) * rot)
     q1c = ep.q1.conjugate()
     cross = ep.m_norm * ((ep.q2 + q1c)
-                         + ep.tau_star * ep.q2 * (j11 + q1c * p.r * eq.m)
+                         + ep.tau_star * ep.q2
+                         * (eq.delayed_self + q1c * p.r * eq.m)
                          * math.sin(wt) / wt)
     return same, cross
 
@@ -266,7 +264,6 @@ def center_manifold_terms(p: ModelParams, ep: Eigenpair,
     """
     g20, g11, g02 = g
     eq = positive_equilibrium(p)
-    j11 = _j11(eq.m)
     tau = ep.tau_star
     wt = ep.omega * tau
     cube, _, weights = _mode_integrals(p, ep.n0)
@@ -276,7 +273,7 @@ def center_manifold_terms(p: ModelParams, ep: Eigenpair,
         ksq = p.wavenumber_sq(n)
         decay = cmath.exp(-z)
         return tau * np.array(
-            [[j11 * decay - p.d * ksq, p.r * eq.m * decay],
+            [[eq.delayed_self * decay - p.d * ksq, p.r * eq.m * decay],
              [-eq.a / p.gamma, (-(p.alpha + eq.m) - ksq) / p.gamma]],
             dtype=complex)
 

@@ -7,6 +7,7 @@ a pytest-provided temporary directory.
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import pytest
@@ -32,6 +33,22 @@ def test_tau_star_report_contains_reference_delay(tmp_path, capsys):
     table = (tmp_path / "critical_delays.csv").read_text().splitlines()
     assert table[0] == "n,j,omega,tau,transversality"
     assert len(table) == 2
+
+
+def test_tau_star_writes_the_requested_ladder_of_delays(tmp_path):
+    # Three crossing modes at this diffusivity and domain length.
+    code = _run(["tau-star", *BASE, "--d", "0.05", "--l", "3", "--j-max", "2",
+                 "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    lines = (tmp_path / "critical_delays.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    assert [(int(n), int(j)) for n, j, *_ in rows] \
+        == [(n, j) for n in range(3) for j in range(3)]
+    for k in range(0, 9, 3):
+        omega = float(rows[k][2])
+        taus = [float(row[3]) for row in rows[k:k + 3]]
+        for lo, hi in zip(taus, taus[1:]):
+            assert hi - lo == pytest.approx(2.0 * math.pi / omega, rel=1e-9)
 
 
 def test_classify_reports_boundary_stable_without_coexistence(tmp_path,
@@ -145,6 +162,7 @@ def test_unknown_config_parameter_is_rejected(tmp_path):
     ("turing-curve", {"resolution": 2.7}, "resolution"),
     ("tau-star", {"n_max": "x"}, "n_max"),
     ("verify", {"draws": True}, "draws"),
+    ("simulate", {"ode": True, "dt": True, "t_end": 1}, "dt"),
 ])
 def test_config_option_of_the_wrong_type_is_a_usage_error(
         tmp_path, capsys, command, config, name):
@@ -231,3 +249,22 @@ def test_verify_subcommand_reports_all_checks_passing(tmp_path, capsys):
     assert matrix[0] == "check,status,detail"
     assert len(matrix) == 6
     assert all(",pass," in line for line in matrix[1:])
+
+
+def test_verify_spectrum_gate_scales_with_the_grid(tmp_path, capsys):
+    code = _run(["verify", *BASE, "--spectrum-n", "100", "--draws", "2",
+                 "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def test_verify_spectrum_match_covers_a_crowded_spectrum(tmp_path):
+    # At l ~ 2 and gamma ~ 2 the slow algae modes fill the rightmost
+    # discrete eigenvalues, so compared roots lie deep in the spectrum.
+    code = _run(["verify", "--r", "1.1917", "--alpha", "0.6045", "--gamma",
+                 "2.2312", "--d", "1.9486", "--l", "1.9488", "--draws", "2",
+                 "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    rows = (tmp_path / "verify_matrix.csv").read_text().splitlines()
+    assert any(row.startswith("discrete_spectrum_match,pass,")
+               for row in rows)

@@ -19,6 +19,7 @@ from musselbed import (HypothesisError, ModelParams, NumericalError,
                        critical_delays, crossing_frequency, delay_char_coeffs,
                        eigenvalue_slope, mode_ceiling, tau_star,
                        transversality_at)
+from musselbed import delay as delay_mod
 from musselbed.verify import _newton
 
 REFERENCE = ModelParams(r=2.0, alpha=0.10, gamma=0.5, d=1.0)
@@ -173,3 +174,89 @@ def test_eigenvalue_slope_matches_tracked_root_difference():
 def test_first_delay_requires_hypotheses():
     with pytest.raises(HypothesisError):
         tau_star(ModelParams(r=0.5, alpha=0.10, gamma=0.5))
+
+
+def _mp_crossing_frequency(p: ModelParams, n: int) -> float:
+    """Oracle: mode n's crossing frequency from the raw model definition,
+    in the textbook root formula at 50 digits, where its cancellation
+    still leaves far more digits than a float holds."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        r, al, g, d, l = (mpmath.mpf(x) for x in (p.r, p.alpha, p.gamma,
+                                                  p.d, p.l))
+        m = al * (r - 1) / (1 - al * r)
+        a = (1 - al * r) / (r * (1 - al))
+        ksq = (n / l) ** 2
+        t_n = al + m + (1 + g * d) * ksq
+        m_n = r * a * m * (1 - al * r - r * a * ksq)
+        d_n = d * (al + m + ksq) * ksq
+        b = -g * r ** 2 * a ** 2 * m
+        big_t = t_n ** 2 - 2 * g * d_n - b ** 2
+        gap = d_n ** 2 - m_n ** 2
+        z = (-big_t + mpmath.sqrt(big_t ** 2 - 4 * g ** 2 * gap)) / (2 * g ** 2)
+        return float(mpmath.sqrt(z))
+
+
+# Mode 0 crosses at a frequency of order 1e-6 and 1e-8: d_n^2 - m_n^2 is
+# tiny against the quartic's middle coefficient.
+TINY_GAP = ModelParams(r=1.61404, alpha=0.618926, gamma=0.795208, d=1.48306,
+                       l=0.739833)
+TINIER_GAP = ModelParams(r=1.2468, alpha=0.80201, gamma=0.80382, d=1.0792,
+                         l=1.8218)
+
+
+def test_crossing_frequency_matches_extended_precision():
+    points = [TINY_GAP, REFERENCE]
+    points += _seeded_admissible_params(10, seed=5150)
+    for p in points:
+        for n in range(0, 3):
+            omega = crossing_frequency(p, n)
+            if omega is None:
+                continue
+            assert omega == pytest.approx(_mp_crossing_frequency(p, n),
+                                          rel=1e-12, abs=0.0)
+
+
+def test_first_delay_exists_at_a_tiny_crossing_frequency():
+    ts = tau_star(TINIER_GAP)
+    assert ts.n0 == 0
+    assert ts.omega == pytest.approx(1.46877e-8, rel=1e-5)
+    assert ts.tau == pytest.approx(1.06946e8, rel=1e-5)
+    # 1 - alpha*r is 5e-5 here, so rounding the inputs alone moves omega
+    # by a few 1e-12.
+    assert ts.omega == pytest.approx(_mp_crossing_frequency(TINIER_GAP, 0),
+                                     rel=1e-10, abs=0.0)
+    assert abs(char_residual(TINIER_GAP, 0, 1j * ts.omega, ts.tau)) < 1e-10
+
+
+def test_tau_star_keeps_every_requested_critical_delay():
+    p = replace(REFERENCE, d=0.05, l=3.0)
+    ts = tau_star(p, j_max=2)
+    assert ts.s0 == (0, 1, 2)
+    assert [(hp.n, hp.j) for hp in ts.crossings] \
+        == [(n, j) for n in ts.s0 for j in range(3)]
+    for n in ts.s0:
+        assert [hp for hp in ts.crossings if hp.n == n] \
+            == critical_delays(p, n, j_max=2)
+    first = tau_star(p)
+    assert first.crossings == tuple(hp for hp in ts.crossings if hp.j == 0)
+    assert (first.tau, first.n0, first.omega) == (ts.tau, ts.n0, ts.omega)
+
+
+def test_tau_star_builds_each_scanned_mode_once(monkeypatch):
+    p = replace(REFERENCE, d=0.05, l=3.0)
+    ceiling = mode_ceiling(p)
+    calls = []
+    original = delay_mod.delay_char_coeffs
+
+    def counting(q, n):
+        calls.append(n)
+        return original(q, n)
+
+    monkeypatch.setattr(delay_mod, "delay_char_coeffs", counting)
+    tau_star(p, n_max=12, j_max=3)
+    assert calls == list(range(13))
+    calls.clear()
+    tau_star(p)
+    # mode_ceiling reads its constant term from mode 0's coefficients.
+    assert calls == [0, *range(ceiling + 1)]

@@ -7,6 +7,8 @@ against a brute-force scan of the mode determinant.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from musselbed import (HypothesisError, ModelParams, boundary_stability,
                        char_coeffs_no_delay, eigenvalues_no_delay,
                        hopf_points_in_r, positive_equilibrium, r_star,
                        turing_analysis, turing_curve)
+from musselbed.linear import _SCAN_POINTS, _scan_roots
 
 
 def _seeded_admissible_params(count: int, seed: int = 1523):
@@ -105,6 +108,47 @@ def test_mussel_free_state_verdicts():
         == "unstable"
     assert boundary_stability(ModelParams(r=1.0, alpha=0.1, gamma=0.5)) \
         == "marginal"
+
+
+def _scanned_boundary_stability(p: ModelParams, n_max: int = 20) -> str:
+    """Reference for boundary_stability: the rightmost eigenvalue over a
+    scan of modes 0..n_max."""
+    rightmost = max(
+        max(p.r - 1.0 - p.d * p.wavenumber_sq(n),
+            -(p.alpha + p.wavenumber_sq(n)) / p.gamma)
+        for n in range(n_max + 1))
+    if rightmost > 0.0:
+        return "unstable"
+    return "marginal" if rightmost == 0.0 else "stable"
+
+
+def test_mussel_free_verdict_equals_the_mode_scan():
+    rng = np.random.default_rng(3301)
+    points = [ModelParams(r=float(rng.uniform(0.1, 4.0)),
+                          alpha=float(rng.uniform(0.05, 0.95)),
+                          gamma=float(rng.uniform(0.1, 8.0)),
+                          d=float(rng.uniform(0.01, 2.0)),
+                          l=float(rng.uniform(0.05, 50.0)))
+              for _ in range(300)]
+    points += [replace(q, r=1.0) for q in points[:30]]
+    verdicts = {boundary_stability(p) for p in points}
+    assert verdicts == {"stable", "marginal", "unstable"}
+    for p in points:
+        assert boundary_stability(p) == _scanned_boundary_stability(p)
+
+
+def test_sign_scan_counts_each_exact_grid_zero_once():
+    lo, hi = 1.0, 3.0
+    step = (hi - lo) / _SCAN_POINTS
+    x0 = lo + 4321 * step     # a grid point, bit for bit
+    last = lo + _SCAN_POINTS * step
+    assert _scan_roots(lambda x: x - x0, lo, hi) == [x0]
+    assert _scan_roots(lambda x: (x - x0) ** 2, lo, hi) == [x0]
+    assert _scan_roots(lambda x: (x - lo) * (x - last), lo, hi) \
+        == [lo, last]
+    # A sign change inside a cell is bisected.
+    (root,) = _scan_roots(lambda x: x - (x0 + 0.5 * step), lo, hi)
+    assert root == pytest.approx(x0 + 0.5 * step, abs=1e-12)
 
 
 def test_band_verdict_matches_brute_force_scan():

@@ -8,6 +8,7 @@ computed by hand from the model definition.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from scipy.optimize import bisect
 from musselbed import (HypothesisError, ModelParams, check_hypotheses,
                        delta0, hypothesis_h1, positive_equilibrium,
                        reaction_rhs, rho0)
+from musselbed.model import zero_mode_determinant
 
 
 def _seeded_admissible_params(count: int, seed: int = 471):
@@ -167,3 +169,33 @@ def test_homogeneous_stability_predicate_tracks_trace_sign():
         gap = delta0(p) ** 2 - rho0(p)
         assert (gap < 0.0) == (trace_margin > 0.0) or (
             math.isclose(gap, 0.0, abs_tol=1e-12))
+
+
+def test_linearization_entries_match_the_symbolic_jacobian():
+    # Independent oracle: sympy differentiates the shipped kinetics at the
+    # equilibrium.  The delayed self-term is d(dm/dt)/dm(t - tau), alpha + m*
+    # is -gamma * d(da/dt)/da, and the zero-mode determinant is gamma times
+    # the determinant of the delay-free Jacobian.
+    sp = pytest.importorskip("sympy")
+    m, a, md, ad = sp.symbols("m a md ad")
+    rng = np.random.default_rng(2608)
+    for _ in range(3):
+        alpha = float(rng.uniform(0.05, 0.9))
+        p = ModelParams(r=float(rng.uniform(1.05, 0.9 / alpha)), alpha=alpha,
+                        gamma=float(rng.uniform(0.1, 5.0)))
+        eq = positive_equilibrium(p)
+        exact = SimpleNamespace(**{k: sp.Rational(getattr(p, k))
+                                   for k in ("r", "alpha", "gamma")})
+        rates = [f.xreplace({x: sp.Rational(x) for x in f.atoms(sp.Float)})
+                 for f in reaction_rhs(m, a, md, ad, exact)]
+        at_eq = {m: sp.Rational(eq.m), md: sp.Rational(eq.m),
+                 a: sp.Rational(eq.a), ad: sp.Rational(eq.a)}
+        jacobian = sp.Matrix([[sp.diff(f, x) + sp.diff(f, xd)
+                               for x, xd in ((m, md), (a, ad))]
+                              for f in rates]).subs(at_eq)
+        delayed = sp.diff(rates[0], md).subs(at_eq)
+        assert eq.delayed_self == pytest.approx(float(delayed), rel=1e-14)
+        assert p.alpha + eq.m == pytest.approx(
+            float(-exact.gamma * jacobian[1, 1]), rel=1e-14)
+        assert zero_mode_determinant(p, eq) == pytest.approx(
+            float(exact.gamma * jacobian.det()), rel=1e-14)

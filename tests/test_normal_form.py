@@ -287,3 +287,13 @@ def test_first_delay_location_is_domain_size_invariant():
     assert wide.tau == pytest.approx(narrow.tau, rel=1e-12)
     assert wide.n0 == 0
     assert len(wide.s0) > 1
+
+
+def test_long_delay_crossing_passes_the_pairing_guards():
+    # tau* is about 5e3 here, so the pairing identities hold only with a
+    # crossing frequency accurate to nearly every digit.
+    p = ModelParams(r=2.12225, alpha=0.465185, gamma=0.888162, d=1.58105,
+                    l=1.56506)
+    hc = hopf_coefficients(p)
+    assert hc.tau_star.tau == pytest.approx(5215.73, rel=1e-5)
+    assert math.isfinite(abs(hc.c1))
