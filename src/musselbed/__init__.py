@@ -7,9 +7,8 @@ oracles that re-derive the same quantities from raw definitions
 """
 
 from .delay import (HopfPoint, SpectralCoeffsDelay, TauStar, char_residual,
-                    critical_delays, crossing_frequency, delay_char_coeffs,
-                    eigenvalue_slope, mode_ceiling, tau_star,
-                    transversality_at)
+                    delay_char_coeffs, eigenvalue_slope, mode_ceiling,
+                    tau_star)
 from .exceptions import HypothesisError, MusselbedError, NumericalError
 from .linear import (RHopfPoint, SpectralCoeffsNoDelay, TuringCurvePoint,
                      TuringReport, boundary_stability, char_coeffs_no_delay,
@@ -20,8 +19,7 @@ from .model import (Equilibrium, HypothesisReport, ModelParams,
                     positive_equilibrium, reaction_rhs, rho0)
 from .normal_form import (CenterManifoldTerms, Eigenpair, HopfCoefficients,
                           NonlinearExpansion, center_manifold_terms,
-                          eigenpair, g_coefficients, hopf_coefficients,
-                          nonlinear_expansion)
+                          eigenpair, hopf_coefficients, nonlinear_expansion)
 from .sim import (Grid, OrbitSummary, SweepPoint, Trajectory,
                   amplitude_sweep, detect_orbit, lyapunov_value,
                   simulate_ode, simulate_pde)
@@ -61,8 +59,6 @@ __all__ = [
     "char_coeffs_no_delay",
     "char_residual",
     "check_hypotheses",
-    "critical_delays",
-    "crossing_frequency",
     "delay_char_coeffs",
     "delta0",
     "detect_orbit",
@@ -70,7 +66,6 @@ __all__ = [
     "eigenpair",
     "eigenvalue_slope",
     "eigenvalues_no_delay",
-    "g_coefficients",
     "grid_classify",
     "hopf_coefficients",
     "hopf_points_in_r",
@@ -86,7 +81,6 @@ __all__ = [
     "simulate_ode",
     "simulate_pde",
     "tau_star",
-    "transversality_at",
     "turing_analysis",
     "turing_curve",
     "__version__",

@@ -18,7 +18,7 @@ import math
 import os
 import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
-from typing import Any, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -161,26 +161,16 @@ _PARAM_FIELDS = tuple(f.name for f in fields(ModelParams))
 _REQUIRED_PARAMS = tuple(f.name for f in fields(ModelParams)
                          if f.default is MISSING)
 
-# Each command's options: name -> (type, default).  The flag is the name
-# with dashes; a bool option is a switch.  A None default is worked out by
-# the command itself (from the coexistence state, or by the callee).
-_OPTIONS: dict[str, dict[str, tuple[type, Any]]] = {
-    "classify": {},
-    "hopf-curve": {"samples": (int, 400)},
-    "turing-curve": {"alpha_min": (float, 0.05), "alpha_max": (float, 0.95),
-                     "resolution": (int, 50)},
-    "tau-star": {"n_max": (int, None), "j_max": (int, 0)},
-    "normal-form": {},
-    "simulate": {"grid_n": (int, 128), "dt": (float, 0.01),
-                 "t_end": (float, 600.0), "amplitude": (float, 0.1),
-                 "wavenumber": (int, 2), "m0": (float, None),
-                 "a0": (float, None), "transient_fraction": (float, 0.5),
-                 "ode": (bool, False)},
-    "sweep": {"r_min": (float, 1.05), "r_max": (float, 1.8),
-              "r_steps": (int, 31), "t_end": (float, 1200.0),
-              "dt": (float, 0.01), "transient_fraction": (float, 0.6)},
-    "verify": {"spectrum_n": (int, 200), "draws": (int, 25)},
-}
+
+class _Command(NamedTuple):
+    """One subcommand: its handler, its help line and its options as
+    name -> (type, default).  The flag is the name with dashes; a bool
+    option is a switch.  A None default is worked out by the command
+    itself (from the coexistence state, or by the callee)."""
+
+    handler: Callable[[RunConfig], int]
+    help: str
+    options: dict[str, tuple[type, Any]]
 
 
 def _build_params(config: dict[str, Any],
@@ -235,7 +225,7 @@ def _resolve_options(command: str, config: dict[str, Any],
     """Every option of the command: named flag beats config entry beats
     default."""
     options: dict[str, Any] = {}
-    for name, (kind, default) in _OPTIONS[command].items():
+    for name, (kind, default) in _COMMANDS[command].options.items():
         value = getattr(args, name)
         if value is None and config.get(name) is not None:
             value = _cast_option(name, kind, config[name])
@@ -414,22 +404,18 @@ def _cmd_simulate(cfg: RunConfig) -> int:
         traj = simulate_pde(p, history, grid, t_end=t_end, dt=dt)
     summary = detect_orbit(traj, opts["transient_fraction"])
 
-    ts_rows = []
-    for k, t in enumerate(traj.times):
-        m_frame = traj.fields_m[k]
-        a_frame = traj.fields_a[k]
-        if grid is not None:
-            energy = lyapunov_value(m_frame, a_frame, p, grid)
-        else:
-            a_val = float(a_frame[0])
-            energy = (p.gamma * p.r * (a_val - 1.0 - math.log(a_val))
-                      + float(m_frame[0])) if a_val > 0 else math.nan
-        ts_rows.append([float(t), float(m_frame.mean()),
-                        float(a_frame.mean()), float(m_frame.min()),
-                        float(m_frame.max()), energy])
+    fm, fa = traj.fields_m, traj.fields_a
+    if grid is not None:
+        energy = lyapunov_value(fm, fa, p, grid).tolist()
+    else:
+        energy = [p.gamma * p.r * (a - 1.0 - math.log(a)) + m if a > 0
+                  else math.nan for m, a in zip(fm[:, 0].tolist(),
+                                                fa[:, 0].tolist())]
+    columns = (traj.times, fm.mean(axis=1), fa.mean(axis=1),
+               fm.min(axis=1), fm.max(axis=1))
     _write_csv(cfg.out_dir, "timeseries.csv",
                ["t", "mean_m", "mean_a", "min_m", "max_m", "energy"],
-               ts_rows)
+               list(zip(*(c.tolist() for c in columns), energy)))
 
     frame_stride = max(1, len(traj.times) // 200)
     field_rows = []
@@ -573,16 +559,40 @@ def _cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "classify": _cmd_classify,
-    "hopf-curve": _cmd_hopf_curve,
-    "turing-curve": _cmd_turing_curve,
-    "tau-star": _cmd_tau_star,
-    "normal-form": _cmd_normal_form,
-    "simulate": _cmd_simulate,
-    "sweep": _cmd_sweep,
-    "verify": _cmd_verify,
+_COMMANDS: dict[str, _Command] = {
+    "classify": _Command(
+        _cmd_classify,
+        "hypotheses, equilibria and spatial stability verdict", {}),
+    "hopf-curve": _Command(
+        _cmd_hopf_curve,
+        "oscillation-onset values of r at fixed alpha, gamma",
+        {"samples": (int, 400)}),
+    "turing-curve": _Command(
+        _cmd_turing_curve, "pattern-onset curve in the (alpha, r) plane",
+        {"alpha_min": (float, 0.05), "alpha_max": (float, 0.95),
+         "resolution": (int, 50)}),
+    "tau-star": _Command(
+        _cmd_tau_star, "first critical delay and crossing table",
+        {"n_max": (int, None), "j_max": (int, 0)}),
+    "normal-form": _Command(
+        _cmd_normal_form,
+        "bifurcation direction and orbit stability at tau*", {}),
+    "simulate": _Command(
+        _cmd_simulate, "integrate the spatial system or its ODE reduction",
+        {"grid_n": (int, 128), "dt": (float, 0.01), "t_end": (float, 600.0),
+         "amplitude": (float, 0.1), "wavenumber": (int, 2),
+         "m0": (float, None), "a0": (float, None),
+         "transient_fraction": (float, 0.5), "ode": (bool, False)}),
+    "sweep": _Command(
+        _cmd_sweep, "amplitude sweep across a recruitment range",
+        {"r_min": (float, 1.05), "r_max": (float, 1.8), "r_steps": (int, 31),
+         "t_end": (float, 1200.0), "dt": (float, 0.01),
+         "transient_fraction": (float, 0.6)}),
+    "verify": _Command(
+        _cmd_verify, "run the independent-oracle consistency suite",
+        {"spectrum_n": (int, 200), "draws": (int, 25)}),
 }
+
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON config file")
@@ -600,21 +610,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Bifurcation analysis and simulation of a delayed "
                     "mussel-algae reaction-diffusion model")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    helps = {
-        "classify": "hypotheses, equilibria and spatial stability verdict",
-        "hopf-curve": "oscillation-onset values of r at fixed alpha, gamma",
-        "turing-curve": "pattern-onset curve in the (alpha, r) plane",
-        "tau-star": "first critical delay and crossing table",
-        "normal-form": "bifurcation direction and orbit stability at tau*",
-        "simulate": "integrate the spatial system or its ODE reduction",
-        "sweep": "amplitude sweep across a recruitment range",
-        "verify": "run the independent-oracle consistency suite",
-    }
-    for cmd, options in _OPTIONS.items():
-        sub = subs.add_parser(cmd, help=helps[cmd])
+    for cmd, command in _COMMANDS.items():
+        sub = subs.add_parser(cmd, help=command.help)
         _add_common(sub)
-        for name, (kind, default) in options.items():
+        for name, (kind, default) in command.options.items():
             how = ({"action": "store_true", "default": None} if kind is bool
                    else {"type": kind})
             sub.add_argument(f"--{name.replace('_', '-')}", **how,
@@ -626,7 +625,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(cfg: RunConfig) -> int:
     """Execute one configured command; returns the process exit code."""
     try:
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[cfg.command].handler(cfg)
     except CliError:
         raise
     except HypothesisError as exc:

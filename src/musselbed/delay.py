@@ -5,9 +5,10 @@ characteristic function
 
     gamma*lam^2 + t_n*lam + (b*lam + m_n)*exp(-lam*tau) + d_n,
 
-whose purely imaginary crossings this module locates: the crossing frequency
-per mode, the ladder of critical delays, the first overall critical delay,
-and the crossing speed (transversality).
+whose purely imaginary crossings this module locates.  `tau_star` reports
+them all: the first overall critical delay and, for each crossing mode, the
+frequency, the ladder of critical delays and the crossing speed
+(transversality).
 """
 from __future__ import annotations
 
@@ -130,38 +131,12 @@ def _crossing(p: ModelParams, n: int) -> Optional[HopfPoint]:
     return HopfPoint(n, 0, omega, angle / omega, root / den)
 
 
-def crossing_frequency(p: ModelParams, n: int) -> Optional[float]:
-    """Frequency at which mode n's eigenvalues can reach the imaginary axis,
-    or None when the mode admits no crossing."""
-    crossing = _crossing(p, n)
-    return None if crossing is None else crossing.omega
-
-
-def _crossing_of(p: ModelParams, n: int) -> HopfPoint:
-    crossing = _crossing(p, n)
-    if crossing is None:
-        raise HypothesisError(f"mode {n} admits no imaginary-axis crossing")
-    return crossing
-
-
 def _ladder(first: HopfPoint, j_max: int) -> list[HopfPoint]:
     """first and the next j_max critical delays of its mode, 2*pi/omega
     apart."""
     return [replace(first, j=j,
                     tau_crit=first.tau_crit + TWO_PI * j / first.omega)
             for j in range(j_max + 1)]
-
-
-def transversality_at(p: ModelParams, n: int) -> float:
-    """Crossing-speed expression for mode n; strictly positive on any
-    crossing.  It is the real part of the reciprocal eigenvalue slope in
-    tau at the crossing, which shares its sign with the actual slope."""
-    return _crossing_of(p, n).transversality
-
-
-def critical_delays(p: ModelParams, n: int, j_max: int = 3) -> list[HopfPoint]:
-    """The first j_max + 1 critical delays of mode n, in increasing order."""
-    return _ladder(_crossing_of(p, n), j_max)
 
 
 def mode_ceiling(p: ModelParams) -> int:

@@ -92,15 +92,23 @@ class NonlinearExpansion:
 
 @dataclass(frozen=True)
 class CenterManifoldTerms:
-    """Quadratic manifold corrections and the cubic-projection brackets.
+    """Quadratic normal-form constants, manifold corrections and the
+    cubic-projection brackets.
 
-    w20_*/w11_* are the projection-weighted values of the quadratic
-    manifold coefficients at the delayed argument (theta = -1) and at
-    theta = 0; they are exactly the combinations consumed by the cubic
-    bracket q2_term.  e1 and e2 hold the particular-solution vectors per
-    contributing spatial mode.
+    g20, g11 and g02 are the quadratic constants; all three vanish for a
+    nonzero critical mode because the cubed cosine integrates to zero
+    over the domain.  w20_*/w11_* are the projection-weighted values of
+    the quadratic manifold coefficients at the delayed argument
+    (theta = -1) and at theta = 0; they are exactly the combinations
+    consumed by the cubic bracket q2_term.  e1 and e2 hold the
+    particular-solution vectors per contributing spatial mode.  quartic
+    is the integral of the critical mode's fourth power, the weight of
+    q1_term in g21.
     """
 
+    g20: complex
+    g11: complex
+    g02: complex
     w20_m1: np.ndarray
     w20_0: np.ndarray
     w11_m1: np.ndarray
@@ -111,6 +119,7 @@ class CenterManifoldTerms:
     f_hat_11: np.ndarray
     q1_term: complex
     q2_term: complex
+    quartic: float
 
 
 @dataclass(frozen=True)
@@ -198,7 +207,8 @@ def nonlinear_expansion(p: ModelParams) -> NonlinearExpansion:
     )
 
 
-def _quadratic_brackets(p: ModelParams, ep: Eigenpair
+def _quadratic_brackets(p: ModelParams, ep: Eigenpair,
+                        ex: NonlinearExpansion
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Kinetics evaluated on the quadratic monomials of the center basis.
 
@@ -206,7 +216,6 @@ def _quadratic_brackets(p: ModelParams, ep: Eigenpair
     Gamma^{-1} f restricted to the eigenplane (spatial profile factored
     out).
     """
-    ex = nonlinear_expansion(p)
     c2, c3 = ex.uu_cross, -ex.uu_delay
     em = cmath.exp(-1j * ep.omega * ep.tau_star)
     epl = em.conjugate()
@@ -233,41 +242,31 @@ def _mode_integrals(p: ModelParams, n0: int) -> tuple[float, float, dict[int, fl
                             2 * n0: 1.0 / math.sqrt(2.0 * lpi)}
 
 
-def g_coefficients(p: ModelParams, ep: Eigenpair
-                   ) -> tuple[complex, complex, complex]:
-    """Quadratic normal-form constants g20, g11, g02.
-
-    All three vanish identically for a nonzero critical mode because the
-    cubed cosine integrates to zero over the domain.
-    """
-    cube, _, _ = _mode_integrals(p, ep.n0)
-    if cube == 0.0:
-        return 0j, 0j, 0j
-    f20, f11, f02 = _quadratic_brackets(p, ep)
-    scale = ep.tau_star * ep.m_norm * cube
-    g20 = scale * (ep.q2 * f20[0] + f20[1])
-    g11 = scale * (ep.q2 * f11[0] + f11[1])
-    g02 = scale * (ep.q2 * f02[0] + f02[1])
-    return g20, g11, g02
-
-
-def center_manifold_terms(p: ModelParams, ep: Eigenpair,
-                          g: tuple[complex, complex, complex]
+def center_manifold_terms(p: ModelParams, ep: Eigenpair
                           ) -> CenterManifoldTerms:
-    """Quadratic manifold coefficients and the cubic projection brackets.
+    """Quadratic constants, manifold coefficients and the cubic brackets.
 
-    Solves the two linear systems per contributing spatial mode for the
-    particular-solution vectors, assembles the manifold coefficients at
-    the delayed argument and at zero, and evaluates the two brackets whose
-    weighted sum is g21.  A singular quadratic-frequency system signals a
-    resonance and is reported, never regularized.
+    Projects the quadratic brackets onto the center direction for g20,
+    g11 and g02, solves the two linear systems per contributing spatial
+    mode for the particular-solution vectors, assembles the manifold
+    coefficients at the delayed argument and at zero, and evaluates the
+    two brackets whose weighted sum is g21.  A singular
+    quadratic-frequency system signals a resonance and is reported,
+    never regularized.
     """
-    g20, g11, g02 = g
     eq = positive_equilibrium(p)
     tau = ep.tau_star
     wt = ep.omega * tau
-    cube, _, weights = _mode_integrals(p, ep.n0)
-    f20, f11, _ = _quadratic_brackets(p, ep)
+    cube, quart, weights = _mode_integrals(p, ep.n0)
+    ex = nonlinear_expansion(p)
+    f20, f11, f02 = _quadratic_brackets(p, ep, ex)
+    if cube == 0.0:
+        g20 = g11 = g02 = 0j
+    else:
+        scale = tau * ep.m_norm * cube
+        g20 = scale * (ep.q2 * f20[0] + f20[1])
+        g11 = scale * (ep.q2 * f11[0] + f11[1])
+        g02 = scale * (ep.q2 * f02[0] + f02[1])
 
     def generator(n: int, z: complex) -> np.ndarray:
         ksq = p.wavenumber_sq(n)
@@ -325,7 +324,6 @@ def center_manifold_terms(p: ModelParams, ep: Eigenpair,
     w20_m1, w20_0 = w20(-1.0), w20(0.0)
     w11_m1, w11_0 = w11(-1.0), w11(0.0)
 
-    ex = nonlinear_expansion(p)
     c2, c3, c4, c5 = (ex.uu_cross, -ex.uu_delay, ex.uuu_delay,
                       -ex.u_uu_delay)
     em = cmath.exp(-1j * wt)
@@ -344,9 +342,10 @@ def center_manifold_terms(p: ModelParams, ep: Eigenpair,
                                     + q1c * w20_0[0] + 2.0 * q1 * w11_0[0]))
 
     return CenterManifoldTerms(
+        g20=g20, g11=g11, g02=g02,
         w20_m1=w20_m1, w20_0=w20_0, w11_m1=w11_m1, w11_0=w11_0,
         e1=e1, e2=e2, f_hat_20=f20, f_hat_11=f11,
-        q1_term=q1_term, q2_term=q2_term)
+        q1_term=q1_term, q2_term=q2_term, quartic=quart)
 
 
 def hopf_coefficients(p: ModelParams) -> HopfCoefficients:
@@ -359,10 +358,9 @@ def hopf_coefficients(p: ModelParams) -> HopfCoefficients:
     """
     ts = tau_star(p)
     ep = eigenpair(p, ts.n0, ts.omega, ts.tau)
-    g20, g11, g02 = g_coefficients(p, ep)
-    cm = center_manifold_terms(p, ep, (g20, g11, g02))
-    _, quart, _ = _mode_integrals(p, ep.n0)
-    g21 = ep.tau_star * ep.m_norm * (cm.q1_term * quart + cm.q2_term)
+    cm = center_manifold_terms(p, ep)
+    g20, g11, g02 = cm.g20, cm.g11, cm.g02
+    g21 = ep.tau_star * ep.m_norm * (cm.q1_term * cm.quartic + cm.q2_term)
     wt = ep.omega * ep.tau_star
     c1 = (1j / (2.0 * wt)
           * (g20 * g11 - 2.0 * abs(g11) ** 2 - abs(g02) ** 2 / 3.0)

@@ -280,18 +280,20 @@ def _single(runs: list[Trajectory | NumericalError]) -> Trajectory:
 
 
 def lyapunov_value(m: np.ndarray, a: np.ndarray, p: ModelParams,
-                   grid: Grid) -> float:
+                   grid: Grid) -> float | np.ndarray:
     """Energy functional gamma*r*(a - 1 - ln a) + m integrated over space.
 
-    Nonincreasing along solutions in the low-recruitment regime; zero
-    exactly at the bare-sediment state (0, 1).
+    m and a are one frame (points,) or a stack of frames (frames, points);
+    the result is one energy per frame.  Nonincreasing along solutions in
+    the low-recruitment regime; zero exactly at the bare-sediment state
+    (0, 1).
     """
     a = np.asarray(a, dtype=float)
     m = np.asarray(m, dtype=float)
     if np.min(a) <= 0.0:
         raise NumericalError("energy functional needs strictly positive a")
     integrand = p.gamma * p.r * (a - 1.0 - np.log(a)) + m
-    return float(np.trapezoid(integrand, grid.x()))
+    return np.trapezoid(integrand, grid.x(), axis=-1)
 
 
 def _find_peaks(x: np.ndarray, prominence: float) -> np.ndarray:

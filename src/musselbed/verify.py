@@ -24,6 +24,7 @@ from .sim import Grid
 _NEWTON_TOL = 1e-12
 _NEWTON_MAX_ITER = 60
 _TRACK_MAX_DEPTH = 6
+_PAIRING_POINTS = 4000
 
 
 @dataclass(frozen=True)
@@ -225,8 +226,8 @@ def newton_track_root(p: ModelParams, n: int, tau_from: float,
 
 def bilinear_pairing_quadrature(p: ModelParams, q1: complex, q2: complex,
                                 m_norm: complex, omega: float, tau: float,
-                                n0: int, conjugate_right: bool = False,
-                                points: int = 4000) -> complex:
+                                n0: int, conjugate_right: bool = False
+                                ) -> complex:
     """Trapezoidal evaluation of the adjoint pairing integral.
 
     Re-derives the pairing of q*(s) = m_norm (q2, 1) e^{-i omega tau s}
@@ -244,8 +245,8 @@ def bilinear_pairing_quadrature(p: ModelParams, q1: complex, q2: complex,
     left0 = m_norm * np.array([q2, 1.0], dtype=complex)
     head = left0 @ right0
     kernel = tau * np.array([[j_mm, j_ma], [0.0, 0.0]])
-    xs = np.linspace(-1.0, 0.0, points)
-    integrand = np.empty(points, dtype=complex)
+    xs = np.linspace(-1.0, 0.0, _PAIRING_POINTS)
+    integrand = np.empty(_PAIRING_POINTS, dtype=complex)
     for k, xi in enumerate(xs):
         left = left0 * np.exp(-1j * omega * tau * (xi + 1.0))
         right = right0 * np.exp(phase * xi)

@@ -16,9 +16,8 @@ import pytest
 
 from musselbed import (HypothesisError, ModelParams, NumericalError,
                        char_coeffs_no_delay, char_residual, check_hypotheses,
-                       critical_delays, crossing_frequency, delay_char_coeffs,
-                       eigenvalue_slope, mode_ceiling, tau_star,
-                       transversality_at)
+                       delay_char_coeffs, eigenvalue_slope, mode_ceiling,
+                       tau_star)
 from musselbed import delay as delay_mod
 from musselbed.verify import _newton
 
@@ -62,9 +61,9 @@ def test_flat_mode_has_no_diffusive_damping():
 
 
 def test_reference_crossing_frequency_and_first_delay():
-    omega = crossing_frequency(REFERENCE, 0)
-    assert omega == pytest.approx(REF_OMEGA, abs=1e-9)
     ts = tau_star(REFERENCE)
+    (flat,) = [hp for hp in ts.crossings if hp.n == 0]
+    assert flat.omega == pytest.approx(REF_OMEGA, abs=1e-9)
     assert ts.tau == pytest.approx(REF_TAU, abs=1e-9)
     assert ts.n0 == 0
     assert ts.omega == pytest.approx(REF_OMEGA, abs=1e-9)
@@ -73,20 +72,16 @@ def test_reference_crossing_frequency_and_first_delay():
 
 def test_characteristic_residual_vanishes_at_reported_crossings():
     for p in _seeded_admissible_params(25, seed=77):
-        for n in range(0, 4):
-            if crossing_frequency(p, n) is None:
-                continue
-            for hp in critical_delays(p, n, j_max=2):
-                residual = char_residual(p, n, 1j * hp.omega, hp.tau_crit)
-                assert abs(residual) < 1e-10
+        for hp in tau_star(p, n_max=3, j_max=2).crossings:
+            residual = char_residual(p, hp.n, 1j * hp.omega, hp.tau_crit)
+            assert abs(residual) < 1e-10
 
 
 def test_critical_delays_are_increasing_and_evenly_spaced():
     for p in _seeded_admissible_params(15, seed=13):
-        for n in range(0, 3):
-            if crossing_frequency(p, n) is None:
-                continue
-            table = critical_delays(p, n, j_max=3)
+        ts = tau_star(p, n_max=2, j_max=3)
+        for n in ts.s0:
+            table = [hp for hp in ts.crossings if hp.n == n]
             assert len(table) == 4
             spacing = 2.0 * math.pi / table[0].omega
             for j in range(1, 4):
@@ -97,10 +92,8 @@ def test_critical_delays_are_increasing_and_evenly_spaced():
 
 def test_transversality_is_positive_at_crossings():
     for p in _seeded_admissible_params(25, seed=310):
-        for n in range(0, 4):
-            if crossing_frequency(p, n) is None:
-                continue
-            assert transversality_at(p, n) > 0.0
+        for hp in tau_star(p, n_max=3).crossings:
+            assert hp.transversality > 0.0
 
 
 def test_first_delay_is_minimal_over_crossing_modes():
@@ -109,8 +102,7 @@ def test_first_delay_is_minimal_over_crossing_modes():
             ts = tau_star(p)
         except HypothesisError:
             continue
-        for n in ts.s0:
-            first = critical_delays(p, n, j_max=0)[0]
+        for first in ts.crossings:
             assert first.tau_crit >= ts.tau - 1e-12
 
 
@@ -151,8 +143,7 @@ def test_mode_ceiling_refuses_a_ceiling_past_the_cap():
 def test_modes_above_the_ceiling_admit_no_crossing():
     for p in _seeded_admissible_params(15, seed=55):
         ceiling = mode_ceiling(p)
-        for n in (ceiling, ceiling + 3):
-            assert crossing_frequency(p, n) is None
+        assert max(tau_star(p, n_max=ceiling + 3).s0) < ceiling
 
 
 def test_eigenvalue_slope_matches_tracked_root_difference():
@@ -209,12 +200,9 @@ def test_crossing_frequency_matches_extended_precision():
     points = [TINY_GAP, REFERENCE]
     points += _seeded_admissible_params(10, seed=5150)
     for p in points:
-        for n in range(0, 3):
-            omega = crossing_frequency(p, n)
-            if omega is None:
-                continue
-            assert omega == pytest.approx(_mp_crossing_frequency(p, n),
-                                          rel=1e-12, abs=0.0)
+        for hp in tau_star(p, n_max=2).crossings:
+            assert hp.omega == pytest.approx(_mp_crossing_frequency(p, hp.n),
+                                             rel=1e-12, abs=0.0)
 
 
 def test_first_delay_exists_at_a_tiny_crossing_frequency():
@@ -235,9 +223,6 @@ def test_tau_star_keeps_every_requested_critical_delay():
     assert ts.s0 == (0, 1, 2)
     assert [(hp.n, hp.j) for hp in ts.crossings] \
         == [(n, j) for n in ts.s0 for j in range(3)]
-    for n in ts.s0:
-        assert [hp for hp in ts.crossings if hp.n == n] \
-            == critical_delays(p, n, j_max=2)
     first = tau_star(p)
     assert first.crossings == tuple(hp for hp in ts.crossings if hp.j == 0)
     assert (first.tau, first.n0, first.omega) == (ts.tau, ts.n0, ts.omega)

@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from musselbed import (HypothesisError, ModelParams, center_manifold_terms,
-                       critical_delays, eigenpair, eigenvalue_slope,
-                       g_coefficients, hopf_coefficients,
+                       eigenpair, eigenvalue_slope, hopf_coefficients,
                        nonlinear_expansion, positive_equilibrium, tau_star)
+from musselbed import normal_form as normal_form_mod
 from musselbed.verify import bilinear_pairing_quadrature
 
 REFERENCE = ModelParams(r=2.0, alpha=0.10, gamma=0.5, d=1.0)
@@ -44,6 +45,7 @@ REF_PHYSICAL_PERIOD_SLOPE = 4.386695521294092
 # Nonflat critical mode: on a ten-fold domain the n = 1 mode crosses
 # slightly after the flat one with every hypothesis intact.
 WIDE = ModelParams(r=2.0, alpha=0.10, gamma=0.5, d=1.0, l=10.0)
+(WIDE_N1,) = [hp for hp in tau_star(WIDE).crossings if hp.n == 1]
 
 
 def _raw_characteristic_matrix(p: ModelParams, n: int, lam: complex,
@@ -61,8 +63,7 @@ def _raw_characteristic_matrix(p: ModelParams, n: int, lam: complex,
 
 def test_eigenvectors_annihilate_the_characteristic_matrix():
     cases = [(REFERENCE, 0, REF_OMEGA, REF_TAU)]
-    hp = critical_delays(WIDE, 1, j_max=0)[0]
-    cases.append((WIDE, 1, hp.omega, hp.tau_crit))
+    cases.append((WIDE, 1, WIDE_N1.omega, WIDE_N1.tau_crit))
     for p, n, omega, tau in cases:
         ep = eigenpair(p, n, omega, tau)
         delta = _raw_characteristic_matrix(p, n, 1j * omega, tau)
@@ -88,8 +89,7 @@ def test_eigenpair_rejects_points_off_the_characteristic_variety():
 
 def test_adjoint_pairing_normalization_by_quadrature():
     cases = [(REFERENCE, 0, REF_OMEGA, REF_TAU)]
-    hp = critical_delays(WIDE, 1, j_max=0)[0]
-    cases.append((WIDE, 1, hp.omega, hp.tau_crit))
+    cases.append((WIDE, 1, WIDE_N1.omega, WIDE_N1.tau_crit))
     for p, n, omega, tau in cases:
         ep = eigenpair(p, n, omega, tau)
         same = bilinear_pairing_quadrature(p, ep.q1, ep.q2, ep.m_norm,
@@ -173,18 +173,16 @@ def test_kinetics_expansion_matches_symbolic_taylor_series():
 
 def test_reference_quadratic_projections():
     ep = eigenpair(REFERENCE, 0, REF_OMEGA, REF_TAU)
-    g20, g11, g02 = g_coefficients(REFERENCE, ep)
-    assert g20 == pytest.approx(REF_G20, abs=1e-9)
-    assert g11 == pytest.approx(REF_G11, abs=1e-9)
-    assert g02 == pytest.approx(REF_G02, abs=1e-9)
+    cm = center_manifold_terms(REFERENCE, ep)
+    assert cm.g20 == pytest.approx(REF_G20, abs=1e-9)
+    assert cm.g11 == pytest.approx(REF_G11, abs=1e-9)
+    assert cm.g02 == pytest.approx(REF_G02, abs=1e-9)
 
 
 def test_quadratic_projections_vanish_for_nonflat_modes():
-    hp = critical_delays(WIDE, 1, j_max=0)[0]
-    ep = eigenpair(WIDE, 1, hp.omega, hp.tau_crit)
-    g = g_coefficients(WIDE, ep)
-    assert g == (0j, 0j, 0j)
-    cm = center_manifold_terms(WIDE, ep, g)
+    ep = eigenpair(WIDE, 1, WIDE_N1.omega, WIDE_N1.tau_crit)
+    cm = center_manifold_terms(WIDE, ep)
+    assert (cm.g20, cm.g11, cm.g02) == (0j, 0j, 0j)
     assert sorted(cm.e1) == [0, 2]
     assert sorted(cm.e2) == [0, 2]
     assert cm.q2_term != 0.0
@@ -196,8 +194,7 @@ def test_manifold_correction_solves_rechecked_externally():
     p = REFERENCE
     eq = positive_equilibrium(p)
     ep = eigenpair(p, 0, REF_OMEGA, REF_TAU)
-    g = g_coefficients(p, ep)
-    cm = center_manifold_terms(p, ep, g)
+    cm = center_manifold_terms(p, ep)
     j11 = eq.m / (1.0 + eq.m) ** 2
     tau = REF_TAU
     weight = 1.0 / math.sqrt(p.l * math.pi)
@@ -235,12 +232,28 @@ def test_reference_lyapunov_constants():
     # The intermediates it returns are the ones a step-by-step run builds.
     ts = tau_star(REFERENCE)
     ep = eigenpair(REFERENCE, ts.n0, ts.omega, ts.tau)
-    cm = center_manifold_terms(REFERENCE, ep,
-                               g_coefficients(REFERENCE, ep))
+    cm = center_manifold_terms(REFERENCE, ep)
     assert hc.tau_star == ts
     assert hc.eigenpair == ep
     assert (hc.manifold.q1_term, hc.manifold.q2_term) == (cm.q1_term,
                                                           cm.q2_term)
+    assert (hc.g20, hc.g11, hc.g02) == (cm.g20, cm.g11, cm.g02)
+
+
+def test_hopf_coefficients_runs_each_manifold_stage_once(monkeypatch):
+    calls: Counter[str] = Counter()
+    stages = ("_quadratic_brackets", "_mode_integrals",
+              "nonlinear_expansion")
+    for name in stages:
+        def counted(*args, _name=name,
+                    _original=getattr(normal_form_mod, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(normal_form_mod, name, counted)
+    for p in (REFERENCE, WIDE):
+        calls.clear()
+        hopf_coefficients(p)
+        assert calls == {name: 1 for name in stages}
 
 
 def test_lyapunov_constant_assembles_from_projections():

@@ -207,12 +207,19 @@ def test_lyapunov_value_properties():
     zero = lyapunov_value(np.zeros_like(x), np.ones_like(x), p, grid)
     assert zero == pytest.approx(0.0, abs=1e-14)
     rng = np.random.default_rng(515)
-    for _ in range(10):
-        m = rng.uniform(0.0, 2.0, x.shape)
-        a = rng.uniform(0.1, 1.8, x.shape)
+    frames = [(rng.uniform(0.0, 2.0, x.shape), rng.uniform(0.1, 1.8, x.shape))
+              for _ in range(10)]
+    for m, a in frames:
         assert lyapunov_value(m, a, p, grid) >= 0.0
+    # A stack of frames gives each frame's energy, bit for bit.
+    m, a = (np.array(stack) for stack in zip(*frames))
+    assert lyapunov_value(m, a, p, grid).tolist() \
+        == [lyapunov_value(mk, ak, p, grid) for mk, ak in frames]
     with pytest.raises(NumericalError):
         lyapunov_value(np.ones_like(x), np.zeros_like(x), p, grid)
+    a[3, 7] = 0.0
+    with pytest.raises(NumericalError):
+        lyapunov_value(m, a, p, grid)
 
 
 def test_negative_state_raises_numerical_error():
