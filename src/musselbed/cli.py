@@ -18,7 +18,7 @@ import math
 import os
 import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
-from typing import Any, Callable, NamedTuple, Optional
+from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -71,12 +71,8 @@ def _jsonable(obj: Any) -> Any:
         return float(_fmt(obj)) if math.isfinite(obj) else str(obj)
     if isinstance(obj, complex):
         return {"re": float(_fmt(obj.real)), "im": float(_fmt(obj.imag))}
-    if isinstance(obj, np.floating):
-        return _jsonable(float(obj))
     if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, np.complexfloating):
-        return _jsonable(complex(obj))
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, dict):
@@ -105,16 +101,10 @@ def _write_json(out_dir: str, name: str, payload: Any) -> None:
 
 
 def _write_csv(out_dir: str, name: str, header: list[str],
-               rows: list[list[Any]]) -> None:
+               rows: Iterable[Iterable[Any]]) -> None:
     lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, float):
-                cells.append(_fmt(cell))
-            else:
-                cells.append(str(cell))
-        lines.append(",".join(cells))
+    lines += [",".join([_fmt(cell) if isinstance(cell, float) else str(cell)
+                        for cell in row]) for row in rows]
     _write_text(out_dir, name, "\n".join(lines) + "\n")
 
 
@@ -415,17 +405,16 @@ def _cmd_simulate(cfg: RunConfig) -> int:
                fm.min(axis=1), fm.max(axis=1))
     _write_csv(cfg.out_dir, "timeseries.csv",
                ["t", "mean_m", "mean_a", "min_m", "max_m", "energy"],
-               list(zip(*(c.tolist() for c in columns), energy)))
+               zip(*(c.tolist() for c in columns), energy))
 
-    frame_stride = max(1, len(traj.times) // 200)
-    field_rows = []
+    # Every grid point of every len(times)//200-th frame, one per row.
+    ks = slice(None, None, max(1, len(traj.times) // 200))
     xs = grid.x() if grid is not None else np.zeros(1)
-    for k in range(0, len(traj.times), frame_stride):
-        t = float(traj.times[k])
-        for j, x in enumerate(xs):
-            field_rows.append([t, float(x), float(traj.fields_m[k][j]),
-                               float(traj.fields_a[k][j])])
-    _write_csv(cfg.out_dir, "fields.csv", ["t", "x", "m", "a"], field_rows)
+    times = traj.times[ks]
+    _write_csv(cfg.out_dir, "fields.csv", ["t", "x", "m", "a"],
+               zip(np.repeat(times, len(xs)).tolist(),
+                   np.tile(xs, len(times)).tolist(),
+                   fm[ks].ravel().tolist(), fa[ks].ravel().tolist()))
 
     _write_json(cfg.out_dir, "orbit_summary.json", {
         "is_periodic": summary.is_periodic, "period": summary.period,

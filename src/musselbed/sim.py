@@ -29,6 +29,8 @@ _BOUND_SLACK = 1e-6
 _DETECTION_FLOOR = 1e-6
 _INTERVAL_CV_MAX = 0.02
 _SUSTAIN_RATIO_MIN = 0.75
+# Most bytes one run may hold in its delay history and stored frames.
+_MAX_STORED_BYTES = 2 * 2**30
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,6 @@ class Trajectory:
     times: np.ndarray
     fields_m: np.ndarray
     fields_a: np.ndarray
-    params: ModelParams
     dt: float
 
 
@@ -160,8 +161,15 @@ def _integrate(lanes: Sequence[ModelParams],
         raise ValueError("store_every must be a positive integer")
     n_lanes = len(lanes)
     nx = 1 if grid is None else grid.points
-
     slots = lag + 1
+    n_frames = 1 + math.ceil(n_steps / store_every)
+    stored = (slots + n_frames) * 2 * n_lanes * nx * 8
+    if stored > _MAX_STORED_BYTES:
+        raise ValueError(
+            f"run would store {stored / 2**30:.3g} GiB of delay history and "
+            f"frames (limit {_MAX_STORED_BYTES / 2**30:.3g} GiB); shorten "
+            f"t_end or tau or raise dt")
+
     hist = np.empty((slots, 2, n_lanes, nx))
     for j in range(-lag, 1):
         hist[j % slots, 0], hist[j % slots, 1] = history(j * dt)
@@ -186,7 +194,6 @@ def _integrate(lanes: Sequence[ModelParams],
         factors = (_crank_factor(nx, grid.h, coef_m),
                    _crank_factor(nx, grid.h, coef_a))
 
-    n_frames = 1 + math.ceil(n_steps / store_every)
     times = np.zeros(n_frames)
     frames = np.empty((n_frames, 2, n_lanes, nx))
     frames[0] = y
@@ -240,9 +247,8 @@ def _integrate(lanes: Sequence[ModelParams],
             frame += 1
 
     return [errors[b] or Trajectory(times=times, fields_m=frames[:, 0, b],
-                                    fields_a=frames[:, 1, b],
-                                    params=q, dt=dt)
-            for b, q in enumerate(lanes)]
+                                    fields_a=frames[:, 1, b], dt=dt)
+            for b in range(n_lanes)]
 
 
 def simulate_pde(p: ModelParams,
@@ -350,42 +356,36 @@ def _lowest_back_to_higher(low: list[float], height: list[float]
 
 
 def _signal_stats(sig: np.ndarray, times: np.ndarray
-                  ) -> tuple[bool, Optional[float], float]:
-    """Periodicity of a scalar signal: (verdict, period, peak span)."""
+                  ) -> tuple[bool, Optional[float]]:
+    """Periodicity of a scalar signal: (verdict, period)."""
     span = float(np.max(sig) - np.min(sig))
     if span <= _DETECTION_FLOOR or len(sig) < 8:
-        return False, None, span
+        return False, None
     prominence = max(_DETECTION_FLOOR, 0.02 * span)
     idx = _find_peaks(sig, prominence)
     if len(idx) < 5:
-        return False, None, span
-    peak_times = []
-    peak_values = []
-    for i in idx:
-        if 0 < i < len(sig) - 1:
-            y0, y1, y2 = sig[i - 1], sig[i], sig[i + 1]
-            denom = y0 - 2.0 * y1 + y2
-            offset = 0.5 * (y0 - y2) / denom if denom != 0.0 else 0.0
-            dt_s = times[i + 1] - times[i] if i + 1 < len(times) else 0.0
-            peak_times.append(times[i] + offset * dt_s)
-            peak_values.append(y1 - 0.25 * (y0 - y2) * offset)
-    if len(peak_times) < 5:
-        return False, None, span
+        return False, None
+    # Parabola through each peak and its neighbours; a peak is never an
+    # end sample, so both neighbours exist.
+    y0, y1, y2 = sig[idx - 1], sig[idx], sig[idx + 1]
+    denom = y0 - 2.0 * y1 + y2
+    offset = np.divide(0.5 * (y0 - y2), denom, out=np.zeros_like(denom),
+                       where=denom != 0.0)
+    peak_times = times[idx] + offset * (times[idx + 1] - times[idx])
+    peak_values = y1 - 0.25 * (y0 - y2) * offset
     intervals = np.diff(peak_times)
     mean_iv = float(np.mean(intervals))
     if mean_iv <= 0:
-        return False, None, span
+        return False, None
     cv = float(np.std(intervals)) / mean_iv
     quarter = max(2, len(peak_values) // 4)
-    early = np.asarray(peak_values[:quarter])
-    late = np.asarray(peak_values[-quarter:])
     base = float(np.min(sig))
-    early_amp = float(np.mean(early)) - base
-    late_amp = float(np.mean(late)) - base
+    early_amp = float(np.mean(peak_values[:quarter])) - base
+    late_amp = float(np.mean(peak_values[-quarter:])) - base
     sustained = early_amp <= 0 or late_amp / early_amp >= _SUSTAIN_RATIO_MIN
     if cv < _INTERVAL_CV_MAX and sustained:
-        return True, mean_iv, span
-    return False, None, span
+        return True, mean_iv
+    return False, None
 
 
 def detect_orbit(traj: Trajectory,
@@ -408,11 +408,10 @@ def detect_orbit(traj: Trajectory,
     a_fields = traj.fields_a[keep]
     m_sig = m_fields.mean(axis=1)
     a_sig = a_fields.mean(axis=1)
-    is_periodic, period, _ = _signal_stats(m_sig, times)
+    is_periodic, period = _signal_stats(m_sig, times)
     if m_fields.shape[1] > 1:
-        means = m_fields.mean(axis=1)
         stds = m_fields.std(axis=1)
-        scale = np.maximum(np.abs(means), 1e-300)
+        scale = np.maximum(np.abs(m_sig), 1e-300)
         inhomogeneity = float(np.max(stds / scale))
     else:
         inhomogeneity = 0.0

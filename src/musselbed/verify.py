@@ -55,8 +55,9 @@ class RegionMap:
 def _raw_kinetics_jacobian(p: ModelParams) -> tuple[float, float, float, float, float]:
     """Equilibrium and linearization entries recomputed from scratch.
 
-    Returns (m*, a*, dm/dm_delayed, dm/da_delayed, plus the a-row is
-    reconstructed by the callers).  Deliberately independent of the
+    Returns (m*, a*, j_mm, j_ma, j_am): the derivatives of the m-rate in
+    the delayed m and in the delayed a, and j_am = -a*, the derivative
+    of gamma times the a-rate in m.  Deliberately independent of the
     closed-form module.
     """
     m_eq = p.alpha * (p.r - 1.0) / (1.0 - p.alpha * p.r)

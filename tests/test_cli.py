@@ -10,8 +10,10 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
+from musselbed import Grid, ModelParams, positive_equilibrium, simulate_pde
 from musselbed.cli import (EXIT_HYPOTHESIS, EXIT_IO, EXIT_NUMERICAL,
                            EXIT_OK, EXIT_USAGE, main)
 
@@ -197,11 +199,53 @@ def test_params_entry_that_is_not_an_object_is_a_usage_error(
 
 
 def test_repeated_runs_are_byte_identical(tmp_path):
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    for out in (out_a, out_b):
-        assert _run(["tau-star", *BASE, "--out", str(out)]) == EXIT_OK
-    for name in ("tau_star_report.json", "critical_delays.csv"):
-        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+    for k, argv in enumerate((
+            ["tau-star"],
+            ["simulate", "--tau", "1", "--grid-n", "16", "--dt", "0.05",
+             "--t-end", "31"],
+            ["simulate", "--tau", "3.6", "--ode", "--t-end", "150"])):
+        out_a, out_b = tmp_path / f"a{k}", tmp_path / f"b{k}"
+        for out in (out_a, out_b):
+            assert _run([*argv, *BASE, "--out", str(out)]) == EXIT_OK
+        names = sorted(os.listdir(out_a))
+        assert names == sorted(os.listdir(out_b)) and names
+        for name in names:
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def test_simulate_fields_hold_every_point_of_every_strided_frame(tmp_path):
+    code = _run(["simulate", *BASE, "--tau", "1", "--grid-n", "16", "--dt",
+                 "0.05", "--t-end", "31", "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    p = ModelParams(r=2.0, alpha=0.1, gamma=0.5, tau=1.0)
+    eq = positive_equilibrium(p)
+    grid = Grid(16, p.l)
+
+    def history(x, t):
+        bump = 0.1 * np.cos(2 * x / p.l)
+        return eq.m + bump, eq.a - bump
+
+    traj = simulate_pde(p, history, grid, t_end=31.0, dt=0.05)
+    stride = len(traj.times) // 200
+    assert (len(traj.times), stride) == (621, 3)   # the last frame is left out
+    want = ["t,x,m,a"] + [
+        f"{traj.times[k]:.12g},{x:.12g},{traj.fields_m[k, j]:.12g},"
+        f"{traj.fields_a[k, j]:.12g}"
+        for k in range(0, len(traj.times), stride)
+        for j, x in enumerate(grid.x())]
+    assert (tmp_path / "fields.csv").read_text().splitlines() == want
+
+
+@pytest.mark.parametrize("argv", [["--t-end", "1e9"],
+                                  ["--tau", "1e6", "--dt", "1e-3"]],
+                         ids=["frames", "delay-ring"])
+def test_simulate_that_cannot_fit_is_a_usage_error(tmp_path, capsys, argv):
+    code = _run(["simulate", *BASE, *argv, "--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: run would store ")
+    assert err.count("\n") == 1
+    assert not os.listdir(tmp_path)
 
 
 def test_hopf_curve_outputs_window(tmp_path, capsys):

@@ -19,6 +19,8 @@ from musselbed import (Grid, ModelParams, NumericalError, Trajectory,
                        amplitude_sweep, detect_orbit, hopf_coefficients,
                        lyapunov_value, positive_equilibrium, simulate_ode,
                        simulate_pde, tau_star)
+from musselbed.sim import (_DETECTION_FLOOR, _INTERVAL_CV_MAX,
+                           _SUSTAIN_RATIO_MIN, _find_peaks, _signal_stats)
 
 REFERENCE = ModelParams(r=2.0, alpha=0.10, gamma=0.5, d=1.0)
 REF_OMEGA = 0.32534071178670415
@@ -132,8 +134,7 @@ def test_orbit_detector_on_synthetic_signal():
     sig = 0.5 + 0.2 * np.sin(2.0 * math.pi * times / 19.3)
     fields = sig.reshape(-1, 1)
     flat = np.full_like(fields, 0.5)
-    traj = Trajectory(times=times, fields_m=fields, fields_a=flat,
-                      params=REFERENCE, dt=0.05)
+    traj = Trajectory(times=times, fields_m=fields, fields_a=flat, dt=0.05)
     summary = detect_orbit(traj, transient_fraction=0.25)
     assert summary.is_periodic
     assert summary.period == pytest.approx(19.3, abs=0.1)
@@ -147,9 +148,78 @@ def test_orbit_detector_rejects_decaying_signal():
         * np.sin(2.0 * math.pi * times / 19.3)
     fields = sig.reshape(-1, 1)
     traj = Trajectory(times=times, fields_m=fields,
-                      fields_a=np.full_like(fields, 0.5),
-                      params=REFERENCE, dt=0.05)
+                      fields_a=np.full_like(fields, 0.5), dt=0.05)
     assert not detect_orbit(traj, transient_fraction=0.25).is_periodic
+
+
+def _reference_signal_stats(sig, times):
+    """_signal_stats with its peaks refined one at a time, as a scalar
+    loop with its own end-sample guards: the reference for the array
+    form."""
+    span = float(np.max(sig) - np.min(sig))
+    if span <= _DETECTION_FLOOR or len(sig) < 8:
+        return False, None
+    idx = _find_peaks(sig, max(_DETECTION_FLOOR, 0.02 * span))
+    if len(idx) < 5:
+        return False, None
+    peak_times = []
+    peak_values = []
+    for i in idx:
+        if 0 < i < len(sig) - 1:
+            y0, y1, y2 = sig[i - 1], sig[i], sig[i + 1]
+            denom = y0 - 2.0 * y1 + y2
+            offset = 0.5 * (y0 - y2) / denom if denom != 0.0 else 0.0
+            dt_s = times[i + 1] - times[i] if i + 1 < len(times) else 0.0
+            peak_times.append(times[i] + offset * dt_s)
+            peak_values.append(y1 - 0.25 * (y0 - y2) * offset)
+    if len(peak_times) < 5:
+        return False, None
+    intervals = np.diff(peak_times)
+    mean_iv = float(np.mean(intervals))
+    if mean_iv <= 0:
+        return False, None
+    cv = float(np.std(intervals)) / mean_iv
+    quarter = max(2, len(peak_values) // 4)
+    early = np.asarray(peak_values[:quarter])
+    late = np.asarray(peak_values[-quarter:])
+    base = float(np.min(sig))
+    early_amp = float(np.mean(early)) - base
+    late_amp = float(np.mean(late)) - base
+    sustained = early_amp <= 0 or late_amp / early_amp >= _SUSTAIN_RATIO_MIN
+    if cv < _INTERVAL_CV_MAX and sustained:
+        return True, mean_iv
+    return False, None
+
+
+def test_signal_stats_matches_the_per_peak_reference():
+    rng = np.random.default_rng(20261018)
+    periodic = flat_tops = few_peaks = 0
+    for k in range(600):
+        n = int(rng.integers(8, 1500))
+        if k % 2:
+            times = np.cumsum(rng.uniform(0.02, 0.08, n))
+        else:
+            times = np.arange(n) * 0.05
+        decay = 0.0 if k % 4 < 2 else rng.uniform(0.0, 0.02)
+        sig = 0.5 + 0.2 * np.exp(-decay * times) * np.sin(
+            2.0 * math.pi * times * rng.uniform(1.0, 40.0) / times[-1]
+            + rng.uniform(0.0, 2.0 * math.pi))
+        sig = sig + rng.normal(0.0, rng.choice([0.0, 1e-4, 1e-2]), n)
+        if k % 3 == 0:
+            sig = np.round(sig, int(rng.integers(1, 4)))
+        got = _signal_stats(sig, times)
+        want = _reference_signal_stats(sig, times)
+        # Periods are positive and finite, so == compares them bit for bit.
+        assert got == want, k
+        periodic += got[0]
+        span = float(np.max(sig) - np.min(sig))
+        idx = _find_peaks(sig, max(_DETECTION_FLOOR, 0.02 * span))
+        few_peaks += len(idx) < 5
+        flat_tops += bool(np.any(sig[idx - 1] - 2.0 * sig[idx]
+                                 + sig[idx + 1] == 0.0))
+    # Every branch is exercised: 296 periodic, 114 with a flat top
+    # (denominator 0), 34 with fewer than five peaks.
+    assert periodic >= 100 and flat_tops >= 50 and few_peaks >= 25
 
 
 def test_delay_dichotomy_decay_below_onset_oscillation_above():
@@ -232,6 +302,17 @@ def test_blowup_raises_numerical_error():
     p = _with_tau(0.0)
     with pytest.raises(NumericalError):
         simulate_ode(p, 5e5, 1.0, t_end=50.0, dt=0.01)
+
+
+def test_run_that_cannot_fit_is_refused_before_it_starts():
+    p = _with_tau(0.0)
+    with pytest.raises(ValueError, match="GiB of delay history"):
+        simulate_ode(p, 0.1, 0.5, t_end=1e9, dt=0.01)
+    table = amplitude_sweep(ModelParams(r=2.0, alpha=0.45, gamma=8.0),
+                            [0.5, 1.2, 1.4], t_end=1e9)
+    assert "HypothesisError" in table[0].error
+    assert all(pt.summary is None and pt.error.startswith(
+        "ValueError: run would store") for pt in table[1:])
 
 
 def test_domain_length_mismatch_is_rejected():

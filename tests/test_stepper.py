@@ -119,8 +119,7 @@ def _reference_integrate(p: ModelParams,
 
     return Trajectory(times=np.asarray(times),
                       fields_m=np.asarray(frames_m),
-                      fields_a=np.asarray(frames_a),
-                      params=p, dt=dt)
+                      fields_a=np.asarray(frames_a), dt=dt)
 
 
 def _reference_ode(p: ModelParams, m0: float, a0: float, t_end: float,
