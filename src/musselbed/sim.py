@@ -18,7 +18,6 @@ from types import SimpleNamespace
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .exceptions import NumericalError
 from .model import ModelParams, positive_equilibrium, reaction_rhs
@@ -85,8 +84,8 @@ class OrbitSummary:
 
 def _snap_dt(tau: float, dt_requested: float) -> tuple[float, int]:
     """Largest step not exceeding the request that divides the delay."""
-    if dt_requested <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt_requested < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt_requested}")
     if tau <= 0:
         return dt_requested, 0
     lag_steps = max(1, math.ceil(tau / dt_requested - 1e-12))
@@ -104,6 +103,8 @@ def _laplacian_apply(f: np.ndarray, h: float) -> np.ndarray:
 
 def _crank_factor(nx: int, h: float, coef: float) -> tuple[np.ndarray, ...]:
     """LU factors of I - coef*Laplacian for the implicit half step."""
+    from scipy.linalg.lapack import dgttrf  # loaded only when a PDE runs
+
     inv_h2 = 1.0 / (h * h)
     lower = np.full(nx - 1, -coef * inv_h2)
     upper = lower.copy()
@@ -153,6 +154,8 @@ def _integrate(lanes: Sequence[ModelParams],
     p = lanes[0]
     if any(replace(q, r=p.r) != p for q in lanes):
         raise ValueError("lanes may differ only in r")
+    if not math.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end}")
     dt, lag = _snap_dt(p.tau, dt_requested)
     n_steps = max(1, int(round(t_end / dt)))
     if store_every is None:
@@ -189,6 +192,8 @@ def _integrate(lanes: Sequence[ModelParams],
     errors: list[Optional[NumericalError]] = [None] * n_lanes
 
     if grid is not None:
+        from scipy.linalg.lapack import dgttrs  # loaded only when a PDE runs
+
         coef_m, coef_a = 0.5 * dt * p.d, 0.5 * dt / p.gamma
         coef = np.array([coef_m, coef_a])[:, None, None]
         factors = (_crank_factor(nx, grid.h, coef_m),

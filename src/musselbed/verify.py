@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import NumericalError
 from .model import ModelParams, positive_equilibrium
@@ -71,10 +70,11 @@ def _raw_kinetics_jacobian(p: ModelParams) -> tuple[float, float, float, float, 
 def discrete_spectrum(p: ModelParams, grid: Grid, count: int) -> list[complex]:
     """Rightmost eigenvalues of the discretized delay-free linearization.
 
-    Builds the full 2(N+1)-dimensional generalized eigenvalue problem
-    (time-scaling matrix on the left) with an explicitly assembled
-    second-difference Laplacian and dense solve; returns the `count`
-    eigenvalues of largest real part.
+    Assembles the full 2(N+1)-dimensional problem A v = lambda B v with
+    an explicit second-difference Laplacian.  The time-scaling matrix B
+    is diag(1, gamma) per point, so B^-1 A is A with its a-rows divided
+    by gamma, and its dense eigenvalues are those of the pencil.
+    Returns the `count` eigenvalues of largest real part.
     """
     m_eq, a_eq, j_mm, j_ma, j_am = _raw_kinetics_jacobian(p)
     j_aa = -(p.alpha + m_eq)
@@ -93,9 +93,7 @@ def discrete_spectrum(p: ModelParams, grid: Grid, count: int) -> list[complex]:
     eye = np.eye(nx)
     upper = np.hstack([p.d * lap + j_mm * eye, j_ma * eye])
     lower = np.hstack([j_am * eye, lap + j_aa * eye])
-    a_mat = np.vstack([upper, lower])
-    b_mat = np.diag(np.concatenate([np.ones(nx), p.gamma * np.ones(nx)]))
-    values = scipy.linalg.eig(a_mat, b_mat, right=False)
+    values = np.linalg.eigvals(np.vstack([upper, lower / p.gamma]))
     order = np.argsort(-values.real)
     return [complex(values[i]) for i in order[:count]]
 

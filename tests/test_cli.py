@@ -107,6 +107,8 @@ def test_invalid_parameter_exit_code(tmp_path):
     ["simulate", *BASE, "--tau", "inf", "--ode", "--t-end", "1"],
     ["tau-star", *BASE, "--l", "inf"],
     ["classify", *BASE, "--gamma", "nan"],
+    *(["simulate", *BASE, "--ode", flag, value]
+      for flag in ("--t-end", "--dt") for value in ("inf", "nan")),
 ])
 def test_non_finite_parameter_is_a_usage_error(tmp_path, capsys, argv):
     code = _run([*argv, "--out", str(tmp_path)])

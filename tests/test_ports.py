@@ -1,10 +1,12 @@
-"""The in-package bisection and peak finder against their scipy originals.
+"""The in-package bisection, peak finder and spectrum against scipy.
 
 `linear._bisect` and `sim._find_peaks` stand in for `scipy.optimize.bisect`
-and `scipy.signal.find_peaks`, so that importing the package loads no
-scipy subpackage but `scipy.linalg`.  The scipy functions stay the
-independent oracle here: every case must give the same floats and the
-same indices, bit for bit.
+and `scipy.signal.find_peaks`, and `verify.discrete_spectrum` takes numpy
+eigenvalues of B^-1 A in place of `scipy.linalg.eig(A, B)`, so that
+importing the package loads no scipy module; only a PDE run loads
+scipy's LAPACK.  The scipy functions stay the independent oracle here:
+the ports must give the same floats and the same indices, bit for bit,
+and the spectrum the same eigenvalues to 1e-10 relative.
 """
 
 from __future__ import annotations
@@ -16,15 +18,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.optimize import bisect
 from scipy.signal import find_peaks, peak_prominences
 
 import musselbed
-from musselbed import (ModelParams, delta0, hopf_points_in_r, rho0,
+from musselbed import (Grid, ModelParams, delta0, hopf_points_in_r, rho0,
                        turing_curve)
 from musselbed import linear
 from musselbed.linear import _bisect
 from musselbed.sim import _find_peaks
+from musselbed.verify import _raw_kinetics_jacobian, discrete_spectrum
 
 
 def _assert_same_peaks(x, prominence: float) -> None:
@@ -179,16 +183,66 @@ def test_scans_give_the_same_roots_with_scipy_bisect(monkeypatch):
     assert turing_curve((0.1, 0.6), 0.01, resolution=3) == curve
 
 
-def test_package_import_loads_no_heavy_scipy_subpackage():
-    banned = ("scipy.signal", "scipy.optimize", "scipy.stats",
-              "scipy.integrate")
+def _pencil(p: ModelParams, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """A and B of A v = lambda B v, as the scipy route assembled them."""
+    m_eq, _, j_mm, j_ma, j_am = _raw_kinetics_jacobian(p)
+    j_aa = -(p.alpha + m_eq)
+    nx = grid.points
+    lap = (np.diag(np.full(nx - 1, 1.0), -1) + np.diag(np.full(nx, -2.0))
+           + np.diag(np.full(nx - 1, 1.0), 1))
+    lap[0, 1] = lap[-1, -2] = 2.0
+    lap /= grid.h * grid.h
+    eye = np.eye(nx)
+    a_mat = np.block([[p.d * lap + j_mm * eye, j_ma * eye],
+                      [j_am * eye, lap + j_aa * eye]])
+    b_mat = np.diag(np.concatenate([np.ones(nx), np.full(nx, p.gamma)]))
+    return a_mat, b_mat
+
+
+@pytest.mark.parametrize("n_grid", [100, 200])
+@pytest.mark.parametrize("p", [
+    ModelParams(r=2.0, alpha=0.10, gamma=0.5, d=1.0),
+    ModelParams(r=1.1917, alpha=0.6045, gamma=2.2312, d=1.9486, l=1.9488),
+], ids=["readme", "crowded"])
+def test_discrete_spectrum_matches_scipy_generalized_eig(p, n_grid):
+    grid = Grid(n_grid, p.l)
+    want = scipy.linalg.eig(*_pencil(p, grid), right=False)
+    got = np.array(discrete_spectrum(p, grid, 2 * grid.points))
+    assert got.shape == want.shape
+    # Each side's nearest neighbour on the other, so no root is lost.
+    gap = np.abs(got[:, None] - want[None, :])
+    assert (gap.min(axis=1) <= 1e-10 * np.abs(got)).all()
+    assert (gap.min(axis=0) <= 1e-10 * np.abs(want)).all()
+    assert (np.diff(got.real) <= 0).all()
+
+
+def _scipy_modules_after(code: str) -> list[str]:
+    """The scipy modules a fresh interpreter holds after running code."""
     src = str(Path(musselbed.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = ("import sys, musselbed, musselbed.cli; "
-            "print('\\n'.join(sorted(sys.modules)))")
+    code += "; print('\\n'.join(sorted(sys.modules)))"
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
-    loaded = [m for m in done.stdout.split()
-              if any(m == b or m.startswith(b + ".") for b in banned)]
+    return [m for m in done.stdout.split()
+            if m == "scipy" or m.startswith("scipy.")]
+
+
+def test_package_import_loads_no_heavy_scipy_subpackage():
+    loaded = _scipy_modules_after("import sys, musselbed, musselbed.cli")
     assert not loaded, f"import musselbed loaded {loaded}"
+
+
+def test_analysis_and_ode_commands_load_no_scipy(tmp_path):
+    # Only the PDE diffusion solve needs scipy's LAPACK.
+    runs = [["tau-star"],
+            ["sweep", "--r-steps", "3", "--t-end", "50", "--dt", "0.05"],
+            ["verify", "--draws", "2", "--spectrum-n", "100"]]
+    code = "import sys; from musselbed.cli import main"
+    for k, argv in enumerate(runs):
+        argv += ["--r", "2", "--alpha", "0.1", "--gamma", "0.5",
+                 "--out", str(tmp_path / str(k))]
+        code += f"; assert main({argv!r}) == 0"
+    loaded = _scipy_modules_after(code)
+    assert not loaded, f"the commands loaded {loaded}"
+    assert all(os.listdir(tmp_path / str(k)) for k in range(len(runs)))
