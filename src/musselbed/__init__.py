@@ -3,7 +3,8 @@
 The package splits into closed-form analysis (`model`, `linear`, `delay`,
 `normal_form`), time integration (`sim`), and independent numerical
 oracles that re-derive the same quantities from raw definitions
-(`verify`).  The `cli` module exposes every piece as a batch command.
+(`verify`), paired with the closed forms in `checks`.  The `cli` module
+exposes every piece as a batch command.
 """
 
 from .delay import (HopfPoint, SpectralCoeffsDelay, TauStar, char_residual,

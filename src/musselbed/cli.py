@@ -22,6 +22,7 @@ from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
+from .checks import cross_checks
 from .delay import tau_star
 from .exceptions import HypothesisError, NumericalError
 from .linear import (boundary_stability, hopf_points_in_r, r_star,
@@ -31,9 +32,6 @@ from .model import (ModelParams, check_hypotheses, hopf_margin,
 from .normal_form import hopf_coefficients
 from .sim import (Grid, amplitude_sweep, detect_orbit, lyapunov_value,
                   simulate_ode, simulate_pde)
-from . import delay as delay_mod
-from . import linear as linear_mod
-from . import verify as verify_mod
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -395,17 +393,11 @@ def _cmd_simulate(cfg: RunConfig) -> int:
     summary = detect_orbit(traj, opts["transient_fraction"])
 
     fm, fa = traj.fields_m, traj.fields_a
-    if grid is not None:
-        energy = lyapunov_value(fm, fa, p, grid).tolist()
-    else:
-        energy = [p.gamma * p.r * (a - 1.0 - math.log(a)) + m if a > 0
-                  else math.nan for m, a in zip(fm[:, 0].tolist(),
-                                                fa[:, 0].tolist())]
-    columns = (traj.times, fm.mean(axis=1), fa.mean(axis=1),
-               fm.min(axis=1), fm.max(axis=1))
+    columns = (traj.times, fm.mean(axis=1), fa.mean(axis=1), fm.min(axis=1),
+               fm.max(axis=1), lyapunov_value(fm, fa, p, grid))
     _write_csv(cfg.out_dir, "timeseries.csv",
                ["t", "mean_m", "mean_a", "min_m", "max_m", "energy"],
-               zip(*(c.tolist() for c in columns), energy))
+               zip(*(c.tolist() for c in columns)))
 
     # Every grid point of every len(times)//200-th frame, one per row.
     ks = slice(None, None, max(1, len(traj.times) // 200))
@@ -466,84 +458,14 @@ def _cmd_sweep(cfg: RunConfig) -> int:
 
 
 def _cmd_verify(cfg: RunConfig) -> int:
-    p = cfg.params
-    checks: list[tuple[str, bool, str]] = []
-
-    rng = np.random.default_rng(20260816)
-    worst = 0.0
-    for _ in range(cfg.options["draws"]):
-        alpha = float(rng.uniform(0.05, 0.9))
-        r = float(rng.uniform(1.0 + 0.05, 1.0 / alpha - 1e-6))
-        q = ModelParams(r=r, alpha=alpha, gamma=float(rng.uniform(0.1, 5.0)),
-                        d=float(rng.uniform(0.01, 2.0)))
-        for n in range(0, 6):
-            free = linear_mod.char_coeffs_no_delay(q, n)
-            lag = delay_mod.delay_char_coeffs(q, n)
-            worst = max(worst,
-                        abs(lag.t_n + lag.b - free.t_tilde),
-                        abs(lag.d_n + lag.m_n - free.d_tilde))
-    checks.append(("delay_free_consistency", worst < 1e-10,
-                   f"max identity residual {worst:.3e}"))
-
-    # Roots meet the whole spectrum; the error is second order in 1/N.
-    grid = Grid(cfg.options["spectrum_n"], p.l)
-    spectrum = verify_mod.discrete_spectrum(p, grid, 2 * grid.points)
-    worst_rel = 0.0
-    for n in range(0, 5):
-        for lam in linear_mod.eigenvalues_no_delay(p, n):
-            nearest = min(spectrum, key=lambda z: abs(z - lam))
-            worst_rel = max(worst_rel, abs(nearest - lam) / max(abs(lam), 1e-12))
-    checks.append(("discrete_spectrum_match",
-                   worst_rel < 1e-3 * (200 / grid.n) ** 2,
-                   f"worst relative mismatch {worst_rel:.3e}"))
-
-    hc = hopf_coefficients(p)
-    ts = hc.tau_star
-    track = verify_mod.newton_track_root(p, ts.n0, 0.0, ts.tau * 1.3, 60)
-    if track.crossing_tau is None:
-        checks.append(("newton_crossing_match", False, "no crossing found"))
-    else:
-        gap = abs(track.crossing_tau - ts.tau)
-        checks.append(("newton_crossing_match", gap < 1e-6,
-                       f"|tracked - closed form| = {gap:.3e}"))
-
-    ep = hc.eigenpair
-    same = verify_mod.bilinear_pairing_quadrature(
-        p, ep.q1, ep.q2, ep.m_norm, ep.omega, ep.tau_star, ep.n0)
-    cross = verify_mod.bilinear_pairing_quadrature(
-        p, ep.q1, ep.q2, ep.m_norm, ep.omega, ep.tau_star, ep.n0,
-        conjugate_right=True)
-    pair_err = max(abs(same - 1.0), abs(cross))
-    checks.append(("pairing_quadrature", pair_err < 1e-6,
-                   f"max pairing residual {pair_err:.3e}"))
-
-    region = verify_mod.grid_classify((0.05, 0.6), (1.1, 3.0), p.d,
-                                      p.gamma, resolution=12)
-    mismatches = 0
-    cells = 0
-    for i, alpha in enumerate(region.alphas):
-        for j, r in enumerate(region.rs):
-            label = region.labels[i, j]
-            if label in ("non-H1", "hopf"):
-                continue
-            cells += 1
-            q = ModelParams(r=float(r), alpha=float(alpha),
-                            gamma=p.gamma, d=p.d)
-            verdict = turing_analysis(q, strict=False).verdict
-            expected = "turing-unstable" if label == "T_b" else "stable"
-            if verdict != expected:
-                mismatches += 1
-    checks.append(("region_map_consistency", mismatches == 0,
-                   f"{mismatches} mismatching cells of {cells}"))
-
-    rows = [[name, "pass" if ok else "FAIL", detail]
-            for name, ok, detail in checks]
+    checks = cross_checks(cfg.params, cfg.options["spectrum_n"],
+                          cfg.options["draws"])
+    rows = [[c.name, "pass" if c.ok else "FAIL", c.detail] for c in checks]
     _write_csv(cfg.out_dir, "verify_matrix.csv",
                ["check", "status", "detail"], rows)
-    all_ok = all(ok for _, ok, _ in checks)
-    for name, ok, detail in checks:
-        print(f"{'pass' if ok else 'FAIL'}  {name}: {detail}")
-    if not all_ok:
+    for name, status, detail in rows:
+        print(f"{status}  {name}: {detail}")
+    if not all(c.ok for c in checks):
         raise CliError(EXIT_NUMERICAL, "verification suite found mismatches")
     return EXIT_OK
 

@@ -30,6 +30,8 @@ _INTERVAL_CV_MAX = 0.02
 _SUSTAIN_RATIO_MIN = 0.75
 # Most bytes one run may hold in its delay history and stored frames.
 _MAX_STORED_BYTES = 2 * 2**30
+# Most time steps one run may take.
+_MAX_STEPS = 10**7
 
 
 @dataclass(frozen=True)
@@ -154,8 +156,8 @@ def _integrate(lanes: Sequence[ModelParams],
     p = lanes[0]
     if any(replace(q, r=p.r) != p for q in lanes):
         raise ValueError("lanes may differ only in r")
-    if not math.isfinite(t_end):
-        raise ValueError(f"t_end must be finite, got {t_end}")
+    if not 0 < t_end < math.inf:
+        raise ValueError(f"t_end must be positive and finite, got {t_end}")
     dt, lag = _snap_dt(p.tau, dt_requested)
     n_steps = max(1, int(round(t_end / dt)))
     if store_every is None:
@@ -172,6 +174,9 @@ def _integrate(lanes: Sequence[ModelParams],
             f"run would store {stored / 2**30:.3g} GiB of delay history and "
             f"frames (limit {_MAX_STORED_BYTES / 2**30:.3g} GiB); shorten "
             f"t_end or tau or raise dt")
+    if n_steps > _MAX_STEPS:
+        raise ValueError(f"run would take {n_steps:.3g} steps (limit "
+                         f"{_MAX_STEPS:.3g}); shorten t_end or raise dt")
 
     hist = np.empty((slots, 2, n_lanes, nx))
     for j in range(-lag, 1):
@@ -291,19 +296,22 @@ def _single(runs: list[Trajectory | NumericalError]) -> Trajectory:
 
 
 def lyapunov_value(m: np.ndarray, a: np.ndarray, p: ModelParams,
-                   grid: Grid) -> float | np.ndarray:
+                   grid: Optional[Grid]) -> float | np.ndarray:
     """Energy functional gamma*r*(a - 1 - ln a) + m integrated over space.
 
     m and a are one frame (points,) or a stack of frames (frames, points);
-    the result is one energy per frame.  Nonincreasing along solutions in
-    the low-recruitment regime; zero exactly at the bare-sediment state
-    (0, 1).
+    the result is one energy per frame.  grid None means the spatially
+    homogeneous reduction, whose one point's integrand is the energy.
+    Nonincreasing along solutions in the low-recruitment regime; zero
+    exactly at the bare-sediment state (0, 1).
     """
     a = np.asarray(a, dtype=float)
     m = np.asarray(m, dtype=float)
     if np.min(a) <= 0.0:
         raise NumericalError("energy functional needs strictly positive a")
     integrand = p.gamma * p.r * (a - 1.0 - np.log(a)) + m
+    if grid is None:
+        return integrand[..., 0]
     return np.trapezoid(integrand, grid.x(), axis=-1)
 
 

@@ -12,8 +12,12 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from musselbed import Grid, ModelParams, positive_equilibrium, simulate_pde
+from musselbed import (Grid, ModelParams, NumericalError,
+                       positive_equilibrium, simulate_pde)
+from musselbed import checks
 from musselbed.cli import (EXIT_HYPOTHESIS, EXIT_IO, EXIT_NUMERICAL,
                            EXIT_OK, EXIT_USAGE, main)
 
@@ -109,6 +113,7 @@ def test_invalid_parameter_exit_code(tmp_path):
     ["classify", *BASE, "--gamma", "nan"],
     *(["simulate", *BASE, "--ode", flag, value]
       for flag in ("--t-end", "--dt") for value in ("inf", "nan")),
+    *(["simulate", *BASE, "--ode", "--t-end", value] for value in ("-5", "0")),
 ])
 def test_non_finite_parameter_is_a_usage_error(tmp_path, capsys, argv):
     code = _run([*argv, "--out", str(tmp_path)])
@@ -250,6 +255,16 @@ def test_simulate_that_cannot_fit_is_a_usage_error(tmp_path, capsys, argv):
     assert not os.listdir(tmp_path)
 
 
+def test_simulate_of_too_many_steps_is_a_usage_error(tmp_path, capsys):
+    code = _run(["simulate", *BASE, "--ode", "--dt", "1e-9",
+                 "--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: run would take 6e+11 steps (limit 1e+07)")
+    assert err.count("\n") == 1
+    assert not os.listdir(tmp_path)
+
+
 def test_hopf_curve_outputs_window(tmp_path, capsys):
     code = _run(["hopf-curve", "--r", "2", "--alpha", "0.45", "--gamma",
                  "8", "--out", str(tmp_path)])
@@ -314,3 +329,70 @@ def test_verify_spectrum_match_covers_a_crowded_spectrum(tmp_path):
     rows = (tmp_path / "verify_matrix.csv").read_text().splitlines()
     assert any(row.startswith("discrete_spectrum_match,pass,")
                for row in rows)
+
+
+def test_verify_matrix_is_pinned_at_the_reference_point(tmp_path):
+    code = _run(["verify", *BASE, "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    assert (tmp_path / "verify_matrix.csv").read_text() == (
+        "check,status,detail\n"
+        "delay_free_consistency,pass,max identity residual 2.274e-13\n"
+        "discrete_spectrum_match,pass,worst relative mismatch 3.304e-04\n"
+        "newton_crossing_match,pass,|tracked - closed form| = 2.573e-09\n"
+        "pairing_quadrature,pass,max pairing residual 4.393e-09\n"
+        "region_map_consistency,pass,0 mismatching cells of 114\n")
+
+
+@pytest.mark.parametrize("fault, detail", [
+    (OverflowError("math range error"), "tracker overflowed"),
+    (NumericalError("could not converge a starting root at tau = 0"),
+     "tracker failed: could not converge a starting root at tau = 0"),
+], ids=["overflow", "numerical"])
+def test_verify_reports_a_failed_tracker_as_a_fail_row(
+        tmp_path, capsys, monkeypatch, fault, detail):
+    def failing(*args):
+        raise fault
+    monkeypatch.setattr(checks, "newton_track_root", failing)
+    code = _run(["verify", *BASE, "--draws", "2", "--out", str(tmp_path)])
+    assert code == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.err == "error: verification suite found mismatches\n"
+    assert f"FAIL  newton_crossing_match: {detail}\n" in captured.out
+    rows = (tmp_path / "verify_matrix.csv").read_text().splitlines()
+    assert rows[3] == f"newton_crossing_match,FAIL,{detail}"
+    assert sum(",FAIL," in row for row in rows) == 1
+
+
+# Each command at its smallest useful size, for the sweep over the box.
+_SMALL_FLAGS = {
+    "classify": [], "hopf-curve": ["--samples", "5"],
+    "turing-curve": ["--resolution", "2"], "tau-star": [], "normal-form": [],
+    "simulate": ["--ode", "--t-end", "20", "--dt", "0.05"],
+    "sweep": ["--r-steps", "2", "--t-end", "20", "--dt", "0.05"],
+    "verify": ["--draws", "1", "--spectrum-n", "50"],
+}
+
+
+@st.composite
+def _box_points(draw):
+    """A point of the box that `musselbed verify` samples."""
+    alpha = draw(st.floats(0.05, 0.9))
+    return {"r": draw(st.floats(1.05, 1.0 / alpha, exclude_max=True)),
+            "alpha": alpha, "gamma": draw(st.floats(0.1, 5.0)),
+            "d": draw(st.floats(0.01, 2.0)), "l": draw(st.floats(0.5, 2.0))}
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(point=_box_points())
+def test_every_command_ends_on_a_documented_exit_over_the_box(
+        tmp_path, capsys, point):
+    flags = [arg for name, value in point.items()
+             for arg in (f"--{name}", repr(value))]
+    for command, small in _SMALL_FLAGS.items():
+        code = _run([command, *flags, *small, "--out",
+                     str(tmp_path / command)])
+        assert code in (EXIT_OK, EXIT_HYPOTHESIS, EXIT_NUMERICAL), command
+        err = capsys.readouterr().err
+        if code != EXIT_OK:
+            assert err.startswith("error: ") and err.count("\n") == 1

@@ -11,6 +11,7 @@ and the spectrum the same eigenvalues to 1e-10 relative.
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -246,3 +247,28 @@ def test_analysis_and_ode_commands_load_no_scipy(tmp_path):
     loaded = _scipy_modules_after(code)
     assert not loaded, f"the commands loaded {loaded}"
     assert all(os.listdir(tmp_path / str(k)) for k in range(len(runs)))
+
+
+def _package_imports(path: Path) -> set[str]:
+    """The musselbed modules a source file imports, by short name,
+    whether relative or absolute."""
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["musselbed" if node.level else "",
+                                          node.module]))
+            names |= {f"{base}.{alias.name}" for alias in node.names}
+    return {name.split(".")[1] for name in names
+            if name.startswith("musselbed.")}
+
+
+def test_only_checks_imports_an_oracle_together_with_its_target():
+    src = Path(musselbed.__file__).parent
+    assert _package_imports(src / "verify.py") <= {"exceptions", "model",
+                                                    "sim"}
+    assert "verify" not in _package_imports(src / "cli.py")
+    importers = {path.stem for path in src.glob("*.py")
+                 if "verify" in _package_imports(path)}
+    assert importers == {"__init__", "checks"}

@@ -285,6 +285,11 @@ def test_lyapunov_value_properties():
     m, a = (np.array(stack) for stack in zip(*frames))
     assert lyapunov_value(m, a, p, grid).tolist() \
         == [lyapunov_value(mk, ak, p, grid) for mk, ak in frames]
+    # The homogeneous reduction (grid None): the one point's integrand.
+    want = [p.gamma * p.r * (ak - 1.0 - math.log(ak)) + mk
+            for mk, ak in zip(m[:, 0].tolist(), a[:, 0].tolist())]
+    assert lyapunov_value(m[:, :1], a[:, :1], p, None).tolist() \
+        == pytest.approx(want, rel=1e-15)
     with pytest.raises(NumericalError):
         lyapunov_value(np.ones_like(x), np.zeros_like(x), p, grid)
     a[3, 7] = 0.0
