@@ -6,7 +6,12 @@ implicitly by the trapezoidal rule, kinetics (including the delayed
 terms) explicitly by two-step Adams-Bashforth extrapolation.  The time
 step is snapped to an exact divisor of the delay so the history is read
 from a ring buffer without interpolation.  Runs that differ only in r
-step together as lanes of one state array.
+are lanes of one integration.  A PDE run, or a homogeneous run of more
+than _FLOAT_LANES lanes, steps its lanes together as one state array; a
+homogeneous run of at most _FLOAT_LANES lanes steps each lane on its own
+in Python floats, which carry a state of two numbers faster than numpy
+calls do.  Both loops make the same IEEE operations and give the same
+bits.
 """
 
 from __future__ import annotations
@@ -32,6 +37,11 @@ _SUSTAIN_RATIO_MIN = 0.75
 _MAX_STORED_BYTES = 2 * 2**30
 # Most time steps one run may take.
 _MAX_STEPS = 10**7
+# Most lanes of a homogeneous run stepped one by one in Python floats; a
+# wider run steps as one array.  A float lane takes ~0.43 µs per step,
+# the array loop ~11 µs per step at nearly any width (2-core Xeon,
+# Python 3.11, numpy 2.4), so the array loop wins from about 26 lanes.
+_FLOAT_LANES = 16
 
 
 @dataclass(frozen=True)
@@ -90,7 +100,11 @@ def _snap_dt(tau: float, dt_requested: float) -> tuple[float, int]:
         raise ValueError(f"dt must be positive and finite, got {dt_requested}")
     if tau <= 0:
         return dt_requested, 0
-    lag_steps = max(1, math.ceil(tau / dt_requested - 1e-12))
+    lags = tau / dt_requested
+    if lags == math.inf:
+        raise ValueError(f"tau / dt overflows (tau {tau:.3g}, dt "
+                         f"{dt_requested:.3g}); shorten tau or raise dt")
+    lag_steps = max(1, math.ceil(lags - 1e-12))
     return tau / lag_steps, lag_steps
 
 
@@ -138,6 +152,12 @@ def _guard_message(t_now: float, hi_m: float, hi_a: float, lo_m: float,
     return None
 
 
+def _too_many_steps(steps: float) -> ValueError:
+    """The refusal of a run of more than _MAX_STEPS steps."""
+    return ValueError(f"run would take {steps:.3g} steps (limit "
+                      f"{_MAX_STEPS:.3g}); shorten t_end or raise dt")
+
+
 def _integrate(lanes: Sequence[ModelParams],
                history: Callable[[float], tuple[np.ndarray, np.ndarray]],
                grid: Optional[Grid], t_end: float, dt_requested: float,
@@ -145,13 +165,21 @@ def _integrate(lanes: Sequence[ModelParams],
                ) -> list[Trajectory | NumericalError]:
     """The one stepper behind the PDE, the ODE and sweeps.
 
-    Each lane is one run; lanes share every parameter except r.  The
-    state is a single (2, B, nx) array: species (m, a), lane, grid point.
+    Each lane is one run; lanes share every parameter except r.
     history(t) gives the (m, a) states at t in [-tau, 0], broadcastable
     to (B, nx).  grid None means the spatially homogeneous reduction
     (nx = 1, no diffusion).  A lane whose guards trip gets its
-    NumericalError in place of a Trajectory and drops out of the run;
-    the other lanes go on unchanged.
+    NumericalError in place of a Trajectory; the other lanes go on
+    unchanged.
+
+    The checks, the (slots, 2, B, nx) delay ring and the (frames, 2, B,
+    nx) frame store are set up here for one of two loops, which give the
+    same bits.  A homogeneous run of at most _FLOAT_LANES lanes steps
+    each lane on its own in Python floats (_step_floats): its state is
+    two numbers per lane, and a numpy call costs far more to make than
+    that arithmetic.  PDE runs and wider runs step all lanes as one
+    array (_step_arrays), where each call's cost is shared by every lane
+    and grid point.
     """
     p = lanes[0]
     if any(replace(q, r=p.r) != p for q in lanes):
@@ -159,9 +187,16 @@ def _integrate(lanes: Sequence[ModelParams],
     if not 0 < t_end < math.inf:
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
     dt, lag = _snap_dt(p.tau, dt_requested)
-    n_steps = max(1, int(round(t_end / dt)))
+    steps = t_end / dt
+    # round() has no int for inf; a finite count is refused below, after
+    # the storage it would need.
+    if steps == math.inf:
+        raise _too_many_steps(steps)
+    n_steps = max(1, int(round(steps)))
     if store_every is None:
-        store_every = max(1, int(round(0.05 / dt)))
+        # A stride past the last step stores just that step; capping it
+        # there also keeps an overflowing 0.05 / dt countable.
+        store_every = max(1, int(round(min(0.05 / dt, n_steps))))
     if store_every < 1:
         raise ValueError("store_every must be a positive integer")
     n_lanes = len(lanes)
@@ -175,17 +210,84 @@ def _integrate(lanes: Sequence[ModelParams],
             f"frames (limit {_MAX_STORED_BYTES / 2**30:.3g} GiB); shorten "
             f"t_end or tau or raise dt")
     if n_steps > _MAX_STEPS:
-        raise ValueError(f"run would take {n_steps:.3g} steps (limit "
-                         f"{_MAX_STEPS:.3g}); shorten t_end or raise dt")
+        raise _too_many_steps(n_steps)
 
     hist = np.empty((slots, 2, n_lanes, nx))
     for j in range(-lag, 1):
         hist[j % slots, 0], hist[j % slots, 1] = history(j * dt)
     if not np.isfinite(hist).all():
         raise ValueError("initial history must be finite")
-    y = hist[0].copy()
     a_bound = [max(float(np.max(np.abs(a0))), 1.0) + _BOUND_SLACK
-               for a0 in y[1]]
+               for a0 in hist[0, 1]]
+    # Frame k holds the state after step min(k * store_every, n_steps).
+    times = np.minimum(np.arange(n_frames) * store_every, n_steps) * dt
+    frames = np.empty((n_frames, 2, n_lanes, nx))
+    frames[0] = hist[0]
+    # 1/(1 + m) at m = -1 is inf in numpy but raises in Python floats.
+    # Only the initial history can hold it: every later delayed m has
+    # passed the negativity guard.
+    if (grid is None and n_lanes <= _FLOAT_LANES
+            and not (hist[:, 0] == -1.0).any()):
+        errors = [_step_floats(q, hist[:, :, b, 0], frames[:, :, b, 0], lag,
+                               dt, n_steps, store_every, a_bound[b])
+                  for b, q in enumerate(lanes)]
+    else:
+        errors = _step_arrays(lanes, hist, frames, grid, lag, dt, n_steps,
+                              store_every, a_bound)
+    return [errors[b] or Trajectory(times=times, fields_m=frames[:, 0, b],
+                                    fields_a=frames[:, 1, b], dt=dt)
+            for b in range(n_lanes)]
+
+
+def _step_floats(q: ModelParams, ring: np.ndarray, out: np.ndarray,
+                 lag: int, dt: float, n_steps: int, store_every: int,
+                 a_bound: float) -> Optional[NumericalError]:
+    """Step one homogeneous lane in Python floats; its error, or None.
+
+    ring is the lane's (slots, 2) delay history and out its (frames, 2)
+    store, views into the shared arrays read and written in place.  Each
+    float operation is the one correctly rounded IEEE operation that
+    _step_arrays makes per element, in the same order, and the guard
+    check is its check on one lane, so both give the same bits.
+    """
+    slots = lag + 1
+    ring_m, ring_a = memoryview(ring[:, 0]), memoryview(ring[:, 1])
+    out_m, out_a = memoryview(out[:, 0]), memoryview(out[:, 1])
+    m, a = ring_m[0], ring_a[0]
+    prev_m = prev_a = None
+    frame = 1
+    for i in range(n_steps):
+        k = (i - lag) % slots
+        rate_m, rate_a = reaction_rhs(m, a, ring_m[k], ring_a[k], q)
+        if prev_m is None:
+            prev_m, prev_a = rate_m, rate_a
+        m = m + dt * (1.5 * rate_m - 0.5 * prev_m)
+        a = a + dt * (1.5 * rate_a - 0.5 * prev_a)
+        prev_m, prev_a = rate_m, rate_a
+        k = (i + 1) % slots
+        ring_m[k], ring_a[k] = m, a
+        if not (_NEGATIVITY <= m <= _BLOWUP and _NEGATIVITY <= a <= a_bound):
+            msg = _guard_message((i + 1) * dt, m, a, m, a, a_bound)
+            if msg is not None:
+                return NumericalError(msg)
+        if (i + 1) % store_every == 0 or i == n_steps - 1:
+            out_m[frame], out_a[frame] = m, a
+            frame += 1
+    return None
+
+
+def _step_arrays(lanes: Sequence[ModelParams], hist: np.ndarray,
+                 frames: np.ndarray, grid: Optional[Grid], lag: int,
+                 dt: float, n_steps: int, store_every: int,
+                 a_bound: list[float]) -> list[Optional[NumericalError]]:
+    """Step every lane as one (2, B, nx) array; each lane's error or None.
+
+    A lane whose guards trip drops out of the array; the others go on.
+    """
+    p = lanes[0]
+    n_lanes = len(lanes)
+    slots = lag + 1
+    y = hist[0].copy()
     # Lanes drop out when they trip; `alive` maps the rows still stepped
     # to lane numbers, and limits holds each row's ceilings (blow-up for
     # m, the algae bound for a) for a check that is cheap when none trip.
@@ -201,12 +303,9 @@ def _integrate(lanes: Sequence[ModelParams],
 
         coef_m, coef_a = 0.5 * dt * p.d, 0.5 * dt / p.gamma
         coef = np.array([coef_m, coef_a])[:, None, None]
-        factors = (_crank_factor(nx, grid.h, coef_m),
-                   _crank_factor(nx, grid.h, coef_a))
+        factors = (_crank_factor(grid.points, grid.h, coef_m),
+                   _crank_factor(grid.points, grid.h, coef_a))
 
-    times = np.zeros(n_frames)
-    frames = np.empty((n_frames, 2, n_lanes, nx))
-    frames[0] = y
     frame = 1
     cols: slice | np.ndarray = slice(None)   # frame columns of the rows
     prev: Optional[np.ndarray] = None
@@ -252,13 +351,10 @@ def _integrate(lanes: Sequence[ModelParams],
                 limits = limits[:, keep]
                 alive = cols = alive[keep]
         if (i + 1) % store_every == 0 or i == n_steps - 1:
-            times[frame] = (i + 1) * dt
             frames[frame][:, cols] = y
             frame += 1
 
-    return [errors[b] or Trajectory(times=times, fields_m=frames[:, 0, b],
-                                    fields_a=frames[:, 1, b], dt=dt)
-            for b in range(n_lanes)]
+    return errors
 
 
 def simulate_pde(p: ModelParams,

@@ -265,6 +265,33 @@ def test_simulate_of_too_many_steps_is_a_usage_error(tmp_path, capsys):
     assert not os.listdir(tmp_path)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--t-end", "1e300", "--dt", "1e-10"],
+     "run would take inf steps (limit 1e+07)"),
+    (["--tau", "1e300", "--dt", "1e-10"], "tau / dt overflows"),
+    (["--t-end", "1e-15", "--dt", "1e-320"],
+     "run would take 1e+305 steps (limit 1e+07)"),
+], ids=["steps", "delay", "frame-stride"])
+def test_simulate_whose_step_count_overflows_is_a_usage_error(
+        tmp_path, capsys, argv, message):
+    code = _run(["simulate", *BASE, "--ode", *argv, "--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1
+    assert not os.listdir(tmp_path)
+
+
+def test_sweep_rows_report_an_overflowing_delay(tmp_path):
+    code = _run(["sweep", *BASE, "--tau", "1e300", "--dt", "1e-10",
+                 "--r-steps", "2", "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2
+    assert all(",error,,,,ValueError: tau / dt overflows" in row
+               for row in rows)
+
+
 def test_hopf_curve_outputs_window(tmp_path, capsys):
     code = _run(["hopf-curve", "--r", "2", "--alpha", "0.45", "--gamma",
                  "8", "--out", str(tmp_path)])

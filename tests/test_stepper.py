@@ -2,8 +2,9 @@
 
 `_reference_integrate` is the single-lane stepper the package used before
 lanes were batched: one run at a time, the two species as separate
-arrays, and a banded solve per species and step.  The batched stepper
-must reproduce it bit for bit, lane by lane.
+arrays, and a banded solve per species and step.  Both loops of the
+batched stepper, few homogeneous lanes in Python floats and every other
+run as one array, must reproduce it bit for bit, lane by lane.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from scipy.linalg import solve_banded
 from musselbed import (Grid, ModelParams, NumericalError, Trajectory,
                        amplitude_sweep, detect_orbit, positive_equilibrium,
                        reaction_rhs, simulate_ode, simulate_pde)
-from musselbed.sim import _integrate, _snap_dt
+from musselbed.sim import _FLOAT_LANES, _integrate, _snap_dt
 
 _BLOWUP = 1e6
 _NEGATIVITY = -1e-10
@@ -170,9 +171,13 @@ def test_pde_matches_serial_reference_bit_for_bit(n):
     _assert_identical(got, want)
 
 
-def test_sweep_matches_per_r_serial_runs():
+@pytest.mark.parametrize("width", [3, _FLOAT_LANES + 1])
+def test_sweep_matches_per_r_serial_runs(width):
+    # Three lanes step one by one in Python floats; one lane more than
+    # _FLOAT_LANES steps as one array.  Both must match the reference.
+    assert 3 <= _FLOAT_LANES
     base = ModelParams(r=1.4, alpha=0.45, gamma=8.0)
-    rs = [1.2, 1.5, 1.9]
+    rs = [1.2, 1.5, 1.9, *np.linspace(1.25, 1.85, width - 3).tolist()]
     lanes = [replace(base, r=r) for r in rs]
     eqs = [positive_equilibrium(q) for q in lanes]
     want = [_reference_ode(q, eq.m * 1.05, eq.a, 400.0, 0.05)
@@ -193,6 +198,10 @@ def test_sweep_matches_per_r_serial_runs():
 
 @pytest.mark.parametrize("case, grid_n, m0, a0, gamma, dt", [
     ("blow-up", None, 1.0, 1.0, 1e6, 0.01),
+    # 1/(1 + m) is inf at once, where Python floats would raise.
+    pytest.param("blow-up", None, -1.0, 0.5, 0.5, 0.01,
+                 marks=pytest.mark.filterwarnings(
+                     "ignore:divide by zero", "ignore:invalid value")),
     ("negative", None, -1e-3, 1.0, 0.5, 0.01),
     ("algae bound", 64, 0.0, 0.5, 0.5, 0.5),
 ])
