@@ -7,11 +7,13 @@ terms) explicitly by two-step Adams-Bashforth extrapolation.  The time
 step is snapped to an exact divisor of the delay so the history is read
 from a ring buffer without interpolation.  Runs that differ only in r
 are lanes of one integration.  A PDE run, or a homogeneous run of more
-than _FLOAT_LANES lanes, steps its lanes together as one state array; a
-homogeneous run of at most _FLOAT_LANES lanes steps each lane on its own
-in Python floats, which carry a state of two numbers faster than numpy
-calls do.  Both loops make the same IEEE operations and give the same
-bits.
+than _FLOAT_LANES lanes, steps its lanes together as one state array,
+with one tridiagonal solve per step for every species and lane (a
+block-diagonal matrix factored once per run) and the delayed kinetic
+factor computed once per pass over the ring; a homogeneous run of at
+most _FLOAT_LANES lanes steps each lane on its own in Python floats,
+which carry a state of two numbers faster than numpy calls do.  Both
+loops make the same IEEE operations and give the same bits.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from types import SimpleNamespace
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -42,6 +43,8 @@ _MAX_STEPS = 10**7
 # the array loop ~11 µs per step at nearly any width (2-core Xeon,
 # Python 3.11, numpy 2.4), so the array loop wins from about 26 lanes.
 _FLOAT_LANES = 16
+# Most values of the delayed factor the array loop computes at once.
+_WINDOW_VALUES = 2**16
 
 
 @dataclass(frozen=True)
@@ -108,25 +111,28 @@ def _snap_dt(tau: float, dt_requested: float) -> tuple[float, int]:
     return tau / lag_steps, lag_steps
 
 
-def _laplacian_apply(f: np.ndarray, h: float) -> np.ndarray:
-    """Second difference along the last axis, mirror (zero-flux) closure."""
-    out = np.empty_like(f)
-    out[..., 1:-1] = f[..., :-2] - 2.0 * f[..., 1:-1] + f[..., 2:]
-    out[..., 0] = 2.0 * (f[..., 1] - f[..., 0])
-    out[..., -1] = 2.0 * (f[..., -2] - f[..., -1])
-    return out / (h * h)
+def _crank_factor(coefs: Sequence[float], nx: int, h: float
+                  ) -> tuple[np.ndarray, ...]:
+    """LU factors of the block-diagonal matrix of the implicit half step.
 
-
-def _crank_factor(nx: int, h: float, coef: float) -> tuple[np.ndarray, ...]:
-    """LU factors of I - coef*Laplacian for the implicit half step."""
+    One block I - c*Laplacian of nx rows per entry c of coefs, in order,
+    with exact zeros between the blocks: the elimination adds only exact
+    zeros across a block boundary, so each block factors, and with
+    finite right-hand sides solves, exactly as it would alone.
+    """
     from scipy.linalg.lapack import dgttrf  # loaded only when a PDE runs
 
     inv_h2 = 1.0 / (h * h)
-    lower = np.full(nx - 1, -coef * inv_h2)
+    c = np.asarray(coefs, dtype=float)[:, None]
+    # Column j of a block's row holds its sub- and super-diagonal entry j;
+    # entry nx - 1 is the zero that joins it to the next block.
+    lower = np.repeat(-c * inv_h2, nx, axis=1)
     upper = lower.copy()
-    upper[0] = lower[-1] = -2.0 * coef * inv_h2
-    diag = np.full(nx, 1.0 + 2.0 * coef * inv_h2)
-    *factors, info = dgttrf(lower, diag, upper)
+    upper[:, :1] = lower[:, -2:-1] = -2.0 * c * inv_h2
+    upper[:, -1] = lower[:, -1] = 0.0
+    diag = np.repeat(1.0 + 2.0 * c * inv_h2, nx, axis=1)
+    *factors, info = dgttrf(lower.ravel()[:-1], diag.ravel(),
+                            upper.ravel()[:-1])
     if info != 0:
         raise NumericalError(f"diffusion matrix factorization failed "
                              f"(info {info})")
@@ -137,10 +143,13 @@ def _guard_message(t_now: float, hi_m: float, hi_a: float, lo_m: float,
                    lo_a: float, a_bound: float) -> Optional[str]:
     """Why one lane must stop, from its per-species extremes, or None.
 
-    max(hi, -lo) is the largest magnitude, NaN exactly when the field
-    holds a NaN, so the checks equal those made on the whole field.
+    max(hi, -lo) is a field's largest magnitude, and the peak is NaN
+    exactly when either field holds a NaN (as its hi then is), so the
+    checks equal those made on the whole state.
     """
-    peak = max(max(hi_m, -lo_m), max(hi_a, -lo_a))
+    peak = max(hi_m, -lo_m, hi_a, -lo_a)
+    if math.isnan(hi_m) or math.isnan(hi_a):
+        peak = math.nan
     if not math.isfinite(peak) or peak > _BLOWUP:
         return f"field blow-up at t = {t_now:.4g} (magnitude {peak:.3e})"
     low = min(lo_m, lo_a)
@@ -179,7 +188,7 @@ def _integrate(lanes: Sequence[ModelParams],
     two numbers per lane, and a numpy call costs far more to make than
     that arithmetic.  PDE runs and wider runs step all lanes as one
     array (_step_arrays), where each call's cost is shared by every lane
-    and grid point.
+    and grid point, so that loop makes as few calls per step as it can.
     """
     p = lanes[0]
     if any(replace(q, r=p.r) != p for q in lanes):
@@ -217,8 +226,10 @@ def _integrate(lanes: Sequence[ModelParams],
         hist[j % slots, 0], hist[j % slots, 1] = history(j * dt)
     if not np.isfinite(hist).all():
         raise ValueError("initial history must be finite")
-    a_bound = [max(float(np.max(np.abs(a0))), 1.0) + _BOUND_SLACK
-               for a0 in hist[0, 1]]
+    # Past _BLOWUP _guard_message stops a lane whatever its algae bound,
+    # so the loops' cheap checks let a rise no higher.
+    a_bound = [min(max(float(np.max(np.abs(a0))), 1.0) + _BOUND_SLACK,
+                   _BLOWUP) for a0 in hist[0, 1]]
     # Frame k holds the state after step min(k * store_every, n_steps).
     times = np.minimum(np.arange(n_frames) * store_every, n_steps) * dt
     frames = np.empty((n_frames, 2, n_lanes, nx))
@@ -276,6 +287,7 @@ def _step_floats(q: ModelParams, ring: np.ndarray, out: np.ndarray,
     return None
 
 
+@np.errstate(all="ignore")   # the guards report every non-finite value
 def _step_arrays(lanes: Sequence[ModelParams], hist: np.ndarray,
                  frames: np.ndarray, grid: Optional[Grid], lag: int,
                  dt: float, n_steps: int, store_every: int,
@@ -283,6 +295,20 @@ def _step_arrays(lanes: Sequence[ModelParams], hist: np.ndarray,
     """Step every lane as one (2, B, nx) array; each lane's error or None.
 
     A lane whose guards trip drops out of the array; the others go on.
+    Each numpy call works on every lane and grid point, and each element
+    goes through the IEEE operations of model.reaction_rhs and of a
+    solve per species, in their order, so the bits are theirs.  Per step:
+
+    - dm/dt is m times the delayed factor r*a(t - tau) - 1/(1 + m(t -
+      tau)), which is computed for the whole ring (or, for a long ring,
+      a window of _WINDOW_VALUES values) at once.
+    - On a grid, the Laplacian is written into a buffer kept for the run,
+      and one tridiagonal solve of the state in its memory order takes
+      the implicit half step of every species and lane: its matrix has a
+      block per species and lane (_crank_factor), factored once per run
+      and again when a lane drops out.
+    - The guard check takes the minimum of the whole state and the
+      maximum of each row, and each row's minimum only when it trips.
     """
     p = lanes[0]
     n_lanes = len(lanes)
@@ -292,48 +318,85 @@ def _step_arrays(lanes: Sequence[ModelParams], hist: np.ndarray,
     # to lane numbers, and limits holds each row's ceilings (blow-up for
     # m, the algae bound for a) for a check that is cheap when none trip.
     alive = np.arange(n_lanes)
+    r = np.array([[q.r] for q in lanes])
     limits = np.array([[_BLOWUP] * n_lanes, a_bound])
-    # Kinetics read parameters by attribute, so r can be the lanes' column.
-    kin = SimpleNamespace(**vars(p))
-    kin.r = np.array([[q.r] for q in lanes])
     errors: list[Optional[NumericalError]] = [None] * n_lanes
+    # Ring slots per window of the delayed factor: the whole ring but for
+    # a long one, whose copy could outgrow the storage limit.
+    span = max(1, min(slots, _WINDOW_VALUES // y[0].size))
 
     if grid is not None:
         from scipy.linalg.lapack import dgttrs  # loaded only when a PDE runs
 
-        coef_m, coef_a = 0.5 * dt * p.d, 0.5 * dt / p.gamma
-        coef = np.array([coef_m, coef_a])[:, None, None]
-        factors = (_crank_factor(grid.points, grid.h, coef_m),
-                   _crank_factor(grid.points, grid.h, coef_a))
+        nx, h2 = grid.points, grid.h * grid.h
+        coefs = (0.5 * dt * p.d, 0.5 * dt / p.gamma)
+        coef = np.array(coefs)[:, None, None]
 
     frame = 1
     cols: slice | np.ndarray = slice(None)   # frame columns of the rows
     prev: Optional[np.ndarray] = None
+    rows_changed = True
 
     for i in range(n_steps):
-        delayed = hist[(i - lag) % slots]
+        if rows_changed:
+            # Views into y, which is then updated in place.
+            rows_changed = False
+            m, a = y
+            if grid is not None:
+                factors = _crank_factor(np.repeat(coefs, len(alive)), nx,
+                                        grid.h)
+                column = y.reshape(-1, 1)
+                lap = np.empty_like(y)
+                lap_mid, lap_ends = lap[..., 1:-1], lap[..., ::nx - 1]
+                y_left, y_mid, y_right = y[..., :-2], y[..., 1:-1], y[..., 2:]
+                # Both ends at once: f[0] and f[-1], then f[1] and f[-2].
+                y_ends, y_next = y[..., ::nx - 1], y[..., 1::nx - 3]
+        k = (i + 1) % slots
+        if k % span == 0 or i == 0:
+            # Step i reads slot k and then overwrites it, so no slot of a
+            # window changes before the window's steps have read it.
+            first, end = k, min(slots, k - k % span + span)
+            growth = (r * hist[first:end, 1]
+                      - 1.0 / (1.0 + hist[first:end, 0]))
         rate = np.empty_like(y)
-        rate[0], rate[1] = reaction_rhs(y[0], y[1], delayed[0], delayed[1],
-                                        kin)
+        np.multiply(m, growth[k - first], out=rate[0])
+        np.divide(p.alpha * (1.0 - a) - m * a, p.gamma, out=rate[1])
         if prev is None:
             prev = rate
         eff = 1.5 * rate - 0.5 * prev
         prev = rate
-        if grid is None:
-            y = y + dt * eff
-        else:
-            y = y + coef * _laplacian_apply(y, grid.h) + dt * eff
-            for s in (0, 1):
-                # y[s].T is Fortran-ordered (nx, B): solved in place.
-                _, info = dgttrs(*factors[s], y[s].T, overwrite_b=1)
-                if info != 0:
-                    raise NumericalError(f"diffusion solve failed "
-                                         f"(info {info})")
-        hist[(i + 1) % slots] = y
+        eff *= dt
+        if grid is not None:
+            # coef * (((f[i-1] - 2 f[i]) + f[i+1]) / h^2), with the mirror
+            # closure 2 (f[1] - f[0]) at both ends.
+            np.multiply(y_mid, 2.0, out=lap_mid)
+            np.subtract(y_left, lap_mid, out=lap_mid)
+            np.add(lap_mid, y_right, out=lap_mid)
+            np.subtract(y_next, y_ends, out=lap_ends)
+            lap_ends *= 2.0
+            lap /= h2
+            lap *= coef
+            y += lap
+        y += eff
+        if grid is not None:
+            _, info = dgttrs(*factors, column, overwrite_b=1)
+            if info != 0:
+                raise NumericalError(f"diffusion solve failed (info {info})")
 
         hi = y.max(axis=-1)
-        lo = y.min(axis=-1)
-        if not (lo.min() >= _NEGATIVITY and (hi <= limits).all()):
+        if not (y.min() >= _NEGATIVITY and (hi <= limits).all()):
+            if grid is not None and not np.isfinite(y).all():
+                # In the block solve 0 * inf is NaN, so a non-finite value
+                # reaches every row: solve the step again from the same
+                # right-hand side (hist still holds the state before it)
+                # one species at a time, each lane apart.
+                np.add(hist[i % slots], lap, out=y)
+                y += eff
+                for s in (0, 1):
+                    dgttrs(*_crank_factor(coefs[s:s + 1], nx, grid.h),
+                           y[s].T, overwrite_b=1)
+                hi = y.max(axis=-1)
+            lo = y.min(axis=-1)
             t_now = (i + 1) * dt
             keep = []
             for row, (hm, ha, lm, la, bound) in enumerate(zip(
@@ -345,11 +408,15 @@ def _step_arrays(lanes: Sequence[ModelParams], hist: np.ndarray,
             if not all(keep):
                 if not any(keep):
                     break
-                y, prev = y[:, keep], prev[:, keep]
-                hist = hist[:, :, keep]
-                kin.r = kin.r[keep]
-                limits = limits[:, keep]
+                # A mask on axis 1 gives no C order, which the solve in
+                # place needs.
+                y = np.ascontiguousarray(y[:, keep])
+                prev = prev[:, keep]
+                hist, growth = hist[:, :, keep], growth[:, keep]
+                r, limits = r[keep], limits[:, keep]
                 alive = cols = alive[keep]
+                rows_changed = True
+        hist[k] = y
         if (i + 1) % store_every == 0 or i == n_steps - 1:
             frames[frame][:, cols] = y
             frame += 1

@@ -9,6 +9,9 @@ from __future__ import annotations
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from hypothesis import strategies as st
 
 from musselbed import (Grid, ModelParams, NumericalError,
                        positive_equilibrium, simulate_pde)
+import musselbed
 from musselbed import checks
 from musselbed.cli import (EXIT_HYPOTHESIS, EXIT_IO, EXIT_NUMERICAL,
                            EXIT_OK, EXIT_USAGE, main)
@@ -388,6 +392,22 @@ def test_verify_reports_a_failed_tracker_as_a_fail_row(
     rows = (tmp_path / "verify_matrix.csv").read_text().splitlines()
     assert rows[3] == f"newton_crossing_match,FAIL,{detail}"
     assert sum(",FAIL," in row for row in rows) == 1
+
+
+def test_simulate_that_blows_up_writes_one_error_line_only(tmp_path):
+    # A fresh interpreter, where numpy's RuntimeWarnings would reach
+    # stderr: 1/(1 + m) is inf at m = -1, and the guard reports it.
+    src = str(Path(musselbed.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run(
+        [sys.executable, "-m", "musselbed.cli", "simulate", *BASE, "--ode",
+         "--m0", "-1", "--a0", "0.5", "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True)
+    assert done.returncode == EXIT_NUMERICAL
+    assert done.stdout == ""
+    assert done.stderr == ("error: field blow-up at t = 0.01 "
+                           "(magnitude nan)\n")
 
 
 # Each command at its smallest useful size, for the sweep over the box.

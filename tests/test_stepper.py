@@ -21,7 +21,8 @@ from scipy.linalg import solve_banded
 from musselbed import (Grid, ModelParams, NumericalError, Trajectory,
                        amplitude_sweep, detect_orbit, positive_equilibrium,
                        reaction_rhs, simulate_ode, simulate_pde)
-from musselbed.sim import _FLOAT_LANES, _integrate, _snap_dt
+from musselbed import sim
+from musselbed.sim import _FLOAT_LANES, _guard_message, _integrate, _snap_dt
 
 _BLOWUP = 1e6
 _NEGATIVITY = -1e-10
@@ -152,9 +153,16 @@ def test_ode_matches_serial_reference_bit_for_bit(tau):
     _assert_identical(got, want)
 
 
-@pytest.mark.parametrize("n", [32, 64])
-def test_pde_matches_serial_reference_bit_for_bit(n):
-    p = replace(REFERENCE, tau=3.6)
+@pytest.mark.parametrize("n, tau", [
+    pytest.param(32, 3.6, id="32"),
+    pytest.param(64, 3.6, id="64"),
+    # One ring slot (every pass of the delayed factor is one step long),
+    # and two.
+    pytest.param(32, 0.0, id="32-lag0"),
+    pytest.param(32, 0.03, id="32-lag1"),
+])
+def test_pde_matches_serial_reference_bit_for_bit(n, tau):
+    p = replace(REFERENCE, tau=tau)
     eq = positive_equilibrium(p)
     grid = Grid(n)
     x = grid.x()
@@ -164,11 +172,88 @@ def test_pde_matches_serial_reference_bit_for_bit(n):
         return eq.m + bump, eq.a - bump
 
     got = simulate_pde(p, history, grid, t_end=100.0, dt=0.03)
+    assert _snap_dt(tau, 0.03)[1] == {0.0: 0, 0.03: 1, 3.6: 120}[tau]
     want = _reference_integrate(
         p, lambda t: np.asarray(history(x, t)[0], dtype=float),
         lambda t: np.asarray(history(x, t)[1], dtype=float),
         grid.points, grid.h, 100.0, 0.03, diffusive=True)
     _assert_identical(got, want)
+
+
+@pytest.mark.parametrize("window", [None, 700], ids=["ring", "7-slots"])
+def test_pde_batch_matches_per_r_serial_runs_as_a_lane_drops_out(
+        window, monkeypatch):
+    # Three lanes of the block solve; the middle one starts a hair below
+    # zero and goes negative near t = 6, after which two lanes go on.
+    # The delayed factor is computed for the whole ring of 121 slots at
+    # once, or for 7 slots (700 // 99 values per slot) at a time.
+    if window is not None:
+        monkeypatch.setattr(sim, "_WINDOW_VALUES", window)
+    p = replace(REFERENCE, tau=3.6)
+    grid = Grid(32)
+    x = grid.x()
+    lanes = [replace(p, r=r) for r in (2.0, 1.8, 2.3)]
+    eqs = [positive_equilibrium(q) for q in lanes]
+    bump = 0.05 * np.cos(x)
+    m0 = np.stack([eqs[0].m + bump, np.full_like(x, -1e-12),
+                   eqs[2].m - bump])
+    a0 = np.stack([eqs[0].a - bump, np.ones_like(x), eqs[2].a + bump])
+    runs = _integrate(lanes, lambda t: (m0, a0), grid, 30.0, 0.03, None)
+    for q, run, m_b, a_b in zip(lanes, runs, m0, a0):
+        reference = lambda: _reference_integrate(
+            q, lambda t: m_b, lambda t: a_b, grid.points, grid.h, 30.0,
+            0.03, diffusive=True)
+        if isinstance(run, NumericalError):
+            with pytest.raises(NumericalError) as want:
+                reference()
+            assert str(run) == str(want.value)
+        else:
+            _assert_identical(run, reference())
+    assert "negative field at t = 5." in str(runs[1])
+    assert not isinstance(runs[0], NumericalError)
+    assert not isinstance(runs[2], NumericalError)
+
+
+def test_non_finite_lane_stays_out_of_the_block_solve():
+    # 1/(1 + m) is inf at m = -1: the first lane is NaN after one step.
+    # The block solve would carry it into every other row; its
+    # neighbour must run as it does alone.
+    p = replace(REFERENCE, tau=0.0)
+    eq = positive_equilibrium(p)
+    grid = Grid(32)
+    x = grid.x()
+    bump = 0.1 * np.cos(x)
+    m0 = np.stack([np.full_like(x, -1.0), eq.m + bump])
+    a0 = np.stack([np.full_like(x, 0.5), eq.a - bump])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        runs = _integrate([p, p], lambda t: (m0, a0), grid, 5.0, 0.01,
+                          None)
+    assert str(runs[0]) == "field blow-up at t = 0.01 (magnitude nan)"
+    _assert_identical(runs[1], simulate_pde(
+        p, lambda x, t: (eq.m + bump, eq.a - bump), grid, t_end=5.0,
+        dt=0.01))
+
+
+@pytest.mark.parametrize("width", [2, _FLOAT_LANES + 1])
+def test_algae_above_the_blow_up_level_stops_its_lane_alone(width):
+    # a0 = 2e6 sets the lane's algae bound above the blow-up level.  The
+    # reference stops it on its first step, whatever lanes run beside it.
+    p = replace(REFERENCE, tau=0.0)
+    eq = positive_equilibrium(p)
+    with pytest.raises(NumericalError) as want:
+        _reference_ode(p, 0.0, 2e6, 10.0, 0.01)
+    m0 = np.full((width, 1), eq.m * 1.05)
+    a0 = np.full((width, 1), eq.a)
+    m0[0], a0[0] = 0.0, 2e6
+    runs = _integrate([p] * width, lambda t: (m0, a0), None, 10.0, 0.01,
+                      None)
+    alone = _integrate([p], lambda t: (0.0, 2e6), None, 10.0, 0.01, None)
+    assert str(runs[0]) == str(alone[0]) == str(want.value)
+    assert "field blow-up at t = 0.01" in str(want.value)
+    for run in runs[1:]:
+        _assert_identical(run, _reference_ode(p, eq.m * 1.05, eq.a, 10.0,
+                                              0.01))
 
 
 @pytest.mark.parametrize("width", [3, _FLOAT_LANES + 1])
@@ -199,9 +284,7 @@ def test_sweep_matches_per_r_serial_runs(width):
 @pytest.mark.parametrize("case, grid_n, m0, a0, gamma, dt", [
     ("blow-up", None, 1.0, 1.0, 1e6, 0.01),
     # 1/(1 + m) is inf at once, where Python floats would raise.
-    pytest.param("blow-up", None, -1.0, 0.5, 0.5, 0.01,
-                 marks=pytest.mark.filterwarnings(
-                     "ignore:divide by zero", "ignore:invalid value")),
+    ("blow-up", None, -1.0, 0.5, 0.5, 0.01),
     ("negative", None, -1e-3, 1.0, 0.5, 0.01),
     ("algae bound", 64, 0.0, 0.5, 0.5, 0.5),
 ])
@@ -222,12 +305,21 @@ def test_guards_trip_as_the_serial_reference_does(case, grid_n, m0, a0,
         reference = lambda: _reference_integrate(
             p, lambda t: m_x, lambda t: a_x, grid.points, grid.h, 20.0, dt,
             diffusive=True)
-    with pytest.raises(NumericalError) as got:
-        run()
-    with pytest.raises(NumericalError) as want:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # the guards say it all
+        with pytest.raises(NumericalError) as got:
+            run()
+    with pytest.raises(NumericalError) as want, np.errstate(all="ignore"):
         reference()
     assert case in str(got.value)
     assert str(got.value) == str(want.value)
+
+
+def test_guard_message_sees_a_nan_in_either_field():
+    blow_up = "field blow-up at t = 1 (magnitude nan)"
+    assert _guard_message(1.0, 1.0, math.nan, 0.5, math.nan, 2.0) == blow_up
+    assert _guard_message(1.0, math.nan, 1.0, math.nan, 0.5, 2.0) == blow_up
+    assert _guard_message(1.0, 1.0, 1.0, 0.5, 0.5, 2.0) is None
 
 
 def test_tripped_lane_is_isolated_without_warnings():
