@@ -45,6 +45,8 @@ class Check(NamedTuple):
 def cross_checks(p: ModelParams, spectrum_n: int = 200,
                  draws: int = 25) -> list[Check]:
     """The five closed-form-versus-oracle checks at p, in report order."""
+    if draws < 1:
+        raise ValueError(f"draws must be at least 1, got {draws}")
     checks: list[Check] = []
 
     rng = np.random.default_rng(20260816)

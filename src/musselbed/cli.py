@@ -545,6 +545,8 @@ def run(cfg: RunConfig) -> int:
         raise CliError(EXIT_NUMERICAL, str(exc)) from exc
     except (ValueError, KeyError) as exc:
         raise CliError(EXIT_USAGE, str(exc)) from exc
+    except MemoryError as exc:
+        raise CliError(EXIT_USAGE, str(exc) or "out of memory") from exc
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -164,8 +164,15 @@ def tau_star(p: ModelParams, n_max: Optional[int] = None, j_max: int = 0) -> Tau
     Scans modes 0..n_max (default: mode_ceiling) for imaginary-axis
     crossings and returns the smallest first critical delay along with the
     attaining mode and frequency.  Raises when no mode admits a crossing —
-    the coexistence state then stays stable for every delay.
+    the coexistence state then stays stable for every delay.  Raises
+    ValueError for a negative n_max or j_max, and for an n_max past the
+    largest ceiling mode_ceiling returns.
     """
+    if j_max < 0:
+        raise ValueError(f"j_max must be nonnegative, got {j_max}")
+    if n_max is not None and not 0 <= n_max <= _CEILING_CAP + _CEILING_MARGIN:
+        raise ValueError(f"n_max must lie in [0, "
+                         f"{_CEILING_CAP + _CEILING_MARGIN}], got {n_max}")
     report = check_hypotheses(p)
     if not (report.h1 and report.h2 and report.h3):
         failed = [name for name, ok in

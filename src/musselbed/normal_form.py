@@ -28,7 +28,7 @@ from .exceptions import NumericalError
 from .model import ModelParams, positive_equilibrium
 
 _RESIDUAL_TOL = 1e-8
-# Genuine branch or sign errors violate the pairing identities at O(1);
+# Genuine branch or sign errors violate the pairing identity at O(1);
 # roundoff at long-delay crossings can reach a few 1e-10.
 _PAIRING_TOL = 1e-8
 _SOLVE_TOL = 1e-12
@@ -148,7 +148,7 @@ def eigenpair(p: ModelParams, n0: int, omega: float, tau: float) -> Eigenpair:
 
     Raises NumericalError when (i*omega, tau) is not actually a root of the
     mode's characteristic function, or when the closed-form normalization
-    fails its own pairing identities.
+    fails the pairing identity (q*, conj q) = 0.
     """
     residual = char_residual(p, n0, 1j * omega, tau)
     if abs(residual) > _RESIDUAL_TOL:
@@ -167,30 +167,18 @@ def eigenpair(p: ModelParams, n0: int, omega: float, tau: float) -> Eigenpair:
     if abs(denom) < _DET_GUARD:
         raise NumericalError("degenerate eigenvector normalization")
     m_norm = 1.0 / denom
-    ep = Eigenpair(q1=q1, q2=q2, m_norm=m_norm,
-                   omega=omega, tau_star=tau, n0=n0)
-    same, cross = _pairings(p, ep)
-    if abs(same - 1.0) > _PAIRING_TOL or abs(cross) > _PAIRING_TOL:
+    # (q*, q) = 1 holds by construction of m_norm; (q*, conj q) = 0 is
+    # the identity left to check.
+    wt = omega * tau
+    q1c = q1.conjugate()
+    cross = m_norm * ((q2 + q1c) + tau * q2
+                      * (eq.delayed_self + q1c * p.r * eq.m)
+                      * math.sin(wt) / wt)
+    if abs(cross) > _PAIRING_TOL:
         raise NumericalError(
-            f"eigenvector pairing identities violated: (q*,q)={same:.3e}, "
-            f"(q*,conj q)={cross:.3e}")
-    return ep
-
-
-def _pairings(p: ModelParams, ep: Eigenpair) -> tuple[complex, complex]:
-    """Closed-form bilinear pairings (q*, q) and (q*, conj q)."""
-    eq = positive_equilibrium(p)
-    wt = ep.omega * ep.tau_star
-    rot = cmath.exp(-1j * wt)
-    same = ep.m_norm * ((ep.q1 + ep.q2)
-                        + ep.tau_star * ep.q2
-                        * (eq.delayed_self + ep.q1 * p.r * eq.m) * rot)
-    q1c = ep.q1.conjugate()
-    cross = ep.m_norm * ((ep.q2 + q1c)
-                         + ep.tau_star * ep.q2
-                         * (eq.delayed_self + q1c * p.r * eq.m)
-                         * math.sin(wt) / wt)
-    return same, cross
+            f"eigenvector pairing identity violated: (q*,conj q)={cross:.3e}")
+    return Eigenpair(q1=q1, q2=q2, m_norm=m_norm,
+                     omega=omega, tau_star=tau, n0=n0)
 
 
 def nonlinear_expansion(p: ModelParams) -> NonlinearExpansion:

@@ -294,10 +294,15 @@ def _step_arrays(lanes: Sequence[ModelParams], hist: np.ndarray,
                  a_bound: list[float]) -> list[Optional[NumericalError]]:
     """Step every lane as one (2, B, nx) array; each lane's error or None.
 
-    A lane whose guards trip drops out of the array; the others go on.
-    Each numpy call works on every lane and grid point, and each element
-    goes through the IEEE operations of model.reaction_rhs and of a
-    solve per species, in their order, so the bits are theirs.  Per step:
+    A lane whose guards trip is parked: its error is kept, and its rows of
+    the state and of every ring slot are set to the bare-sediment state
+    (m, a) = (0, 1), its rates and delayed factor to zero.  That state is
+    a fixed point of the kinetics with a zero Laplacian, so the lane stays
+    finite and inside every guard, and the array keeps one shape for the
+    run; the frames of a tripped lane are never read.  Each numpy call
+    works on every lane and grid point, and each element goes through the
+    IEEE operations of model.reaction_rhs and of a solve per species, in
+    their order, so the bits are theirs.  Per step:
 
     - dm/dt is m times the delayed factor r*a(t - tau) - 1/(1 + m(t -
       tau)), which is computed for the whole ring (or, for a long ring,
@@ -305,20 +310,19 @@ def _step_arrays(lanes: Sequence[ModelParams], hist: np.ndarray,
     - On a grid, the Laplacian is written into a buffer kept for the run,
       and one tridiagonal solve of the state in its memory order takes
       the implicit half step of every species and lane: its matrix has a
-      block per species and lane (_crank_factor), factored once per run
-      and again when a lane drops out.
+      block per species and lane (_crank_factor), factored once per run.
     - The guard check takes the minimum of the whole state and the
       maximum of each row, and each row's minimum only when it trips.
     """
     p = lanes[0]
     n_lanes = len(lanes)
     slots = lag + 1
+    # Updated in place, so every view below stays valid for the run.
     y = hist[0].copy()
-    # Lanes drop out when they trip; `alive` maps the rows still stepped
-    # to lane numbers, and limits holds each row's ceilings (blow-up for
-    # m, the algae bound for a) for a check that is cheap when none trip.
-    alive = np.arange(n_lanes)
+    m, a = y
     r = np.array([[q.r] for q in lanes])
+    # Each row's ceilings (blow-up for m, the algae bound for a), for a
+    # check that is cheap when none trip.
     limits = np.array([[_BLOWUP] * n_lanes, a_bound])
     errors: list[Optional[NumericalError]] = [None] * n_lanes
     # Ring slots per window of the delayed factor: the whole ring but for
@@ -331,26 +335,18 @@ def _step_arrays(lanes: Sequence[ModelParams], hist: np.ndarray,
         nx, h2 = grid.points, grid.h * grid.h
         coefs = (0.5 * dt * p.d, 0.5 * dt / p.gamma)
         coef = np.array(coefs)[:, None, None]
+        factors = _crank_factor(np.repeat(coefs, n_lanes), nx, grid.h)
+        column = y.reshape(-1, 1)
+        lap = np.empty_like(y)
+        lap_mid, lap_ends = lap[..., 1:-1], lap[..., ::nx - 1]
+        y_left, y_mid, y_right = y[..., :-2], y[..., 1:-1], y[..., 2:]
+        # Both ends at once: f[0] and f[-1], then f[1] and f[-2].
+        y_ends, y_next = y[..., ::nx - 1], y[..., 1::nx - 3]
 
     frame = 1
-    cols: slice | np.ndarray = slice(None)   # frame columns of the rows
     prev: Optional[np.ndarray] = None
-    rows_changed = True
 
     for i in range(n_steps):
-        if rows_changed:
-            # Views into y, which is then updated in place.
-            rows_changed = False
-            m, a = y
-            if grid is not None:
-                factors = _crank_factor(np.repeat(coefs, len(alive)), nx,
-                                        grid.h)
-                column = y.reshape(-1, 1)
-                lap = np.empty_like(y)
-                lap_mid, lap_ends = lap[..., 1:-1], lap[..., ::nx - 1]
-                y_left, y_mid, y_right = y[..., :-2], y[..., 1:-1], y[..., 2:]
-                # Both ends at once: f[0] and f[-1], then f[1] and f[-2].
-                y_ends, y_next = y[..., ::nx - 1], y[..., 1::nx - 3]
         k = (i + 1) % slots
         if k % span == 0 or i == 0:
             # Step i reads slot k and then overwrites it, so no slot of a
@@ -398,27 +394,19 @@ def _step_arrays(lanes: Sequence[ModelParams], hist: np.ndarray,
                 hi = y.max(axis=-1)
             lo = y.min(axis=-1)
             t_now = (i + 1) * dt
-            keep = []
-            for row, (hm, ha, lm, la, bound) in enumerate(zip(
+            for b, (hm, ha, lm, la, bound) in enumerate(zip(
                     *hi.tolist(), *lo.tolist(), limits[1].tolist())):
                 msg = _guard_message(t_now, hm, ha, lm, la, bound)
                 if msg is not None:
-                    errors[alive[row]] = NumericalError(msg)
-                keep.append(msg is None)
-            if not all(keep):
-                if not any(keep):
-                    break
-                # A mask on axis 1 gives no C order, which the solve in
-                # place needs.
-                y = np.ascontiguousarray(y[:, keep])
-                prev = prev[:, keep]
-                hist, growth = hist[:, :, keep], growth[:, keep]
-                r, limits = r[keep], limits[:, keep]
-                alive = cols = alive[keep]
-                rows_changed = True
+                    errors[b] = NumericalError(msg)
+                    y[0, b], y[1, b] = 0.0, 1.0   # parked at (0, 1)
+                    hist[:, :, b] = y[:, b]
+                    prev[:, b] = growth[:, b] = 0.0
+            if None not in errors:
+                break
         hist[k] = y
         if (i + 1) % store_every == 0 or i == n_steps - 1:
-            frames[frame][:, cols] = y
+            frames[frame] = y
             frame += 1
 
     return errors

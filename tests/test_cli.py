@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from musselbed import (Grid, ModelParams, NumericalError,
                        positive_equilibrium, simulate_pde)
 import musselbed
-from musselbed import checks
+from musselbed import checks, cli
 from musselbed.cli import (EXIT_HYPOTHESIS, EXIT_IO, EXIT_NUMERICAL,
                            EXIT_OK, EXIT_USAGE, main)
 
@@ -128,12 +128,35 @@ def test_non_finite_parameter_is_a_usage_error(tmp_path, capsys, argv):
     assert os.listdir(tmp_path) == []
 
 
-def test_sweep_without_r_values_is_a_usage_error(tmp_path, capsys):
-    code = _run(["sweep", *BASE, "--r-steps", "0", "--out", str(tmp_path)])
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--r-steps", "0"],
+    ["tau-star", "--j-max", "-5"],
+    ["tau-star", "--n-max", "-1"],
+    ["tau-star", "--n-max", "1000000000"],
+    ["verify", "--draws", "-1"],
+], ids=["sweep-r-steps-0", "tau-star-j-max-neg", "tau-star-n-max-neg",
+        "tau-star-n-max-huge", "verify-draws-neg"])
+def test_count_option_out_of_range_is_a_usage_error(tmp_path, capsys, argv):
+    code = _run([*argv, *BASE, "--out", str(tmp_path)])
     assert code == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
     assert os.listdir(tmp_path) == []
+
+
+def test_out_of_memory_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    def exhausted(cfg):
+        raise MemoryError("Unable to allocate 72.8 TiB for an array")
+
+    command = cli._COMMANDS["hopf-curve"]
+    monkeypatch.setitem(cli._COMMANDS, "hopf-curve",
+                        command._replace(handler=exhausted))
+    code = _run(["hopf-curve", *BASE, "--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: Unable to allocate 72.8 TiB for an array\n")
 
 
 def test_missing_required_parameters_exit_code(tmp_path):

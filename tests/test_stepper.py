@@ -370,6 +370,43 @@ def test_blowup_lane_is_isolated_in_a_pde_batch():
         dt=0.01))
 
 
+def test_tripped_lane_is_parked_without_a_refactor(monkeypatch):
+    # r * a0 overflows: the first lane's delayed factor is inf, so its m
+    # blows up on the first step, and the block solve carries the NaN
+    # into every row until the per-species re-solve.  Parked at (0, 1),
+    # the lane stays finite for the rest of the run.
+    p = replace(REFERENCE, tau=0.5)
+    huge = replace(p, r=1e308)
+    eq = positive_equilibrium(p)
+    grid = Grid(32)
+    x = grid.x()
+    bump = 0.1 * np.cos(x)
+    m0 = np.stack([np.full_like(x, 0.1), eq.m + bump])
+    a0 = np.stack([np.full_like(x, 2.0), eq.a - bump])
+    alone = _integrate([huge], lambda t: (m0[:1], a0[:1]), grid, 5.0, 0.01,
+                       None)
+    solo = simulate_pde(p, lambda x, t: (eq.m + bump, eq.a - bump), grid,
+                        t_end=5.0, dt=0.01)
+    blocks = []
+    crank_factor = sim._crank_factor
+
+    def spy(coefs, nx, h):
+        blocks.append(len(coefs))
+        return crank_factor(coefs, nx, h)
+
+    monkeypatch.setattr(sim, "_crank_factor", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        runs = _integrate([huge, p], lambda t: (m0, a0), grid, 5.0, 0.01,
+                          None)
+    assert isinstance(runs[0], NumericalError)
+    assert str(runs[0]) == str(alone[0])
+    assert "field blow-up at t = 0.01" in str(runs[0])
+    _assert_identical(runs[1], solo)
+    # One block factor per run, then one block per species to re-solve.
+    assert blocks == [4, 1, 1]
+
+
 def test_lanes_must_share_all_parameters_but_r():
     with pytest.raises(ValueError):
         _integrate([REFERENCE, replace(REFERENCE, gamma=1.0)],
