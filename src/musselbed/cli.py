@@ -257,11 +257,14 @@ def _cmd_classify(cfg: RunConfig) -> int:
 
 def _cmd_hopf_curve(cfg: RunConfig) -> int:
     p = cfg.params
+    samples = cfg.options["samples"]
+    if samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {samples}")
     points = hopf_points_in_r(p.alpha, p.gamma)
     star = r_star(p.alpha)
     lo, hi = 1.0 + 1e-9, 1.0 / p.alpha - 1e-9
     rows = [[float(r), hopf_margin(replace(p, r=float(r)))]
-            for r in np.linspace(lo, hi, cfg.options["samples"])]
+            for r in np.linspace(lo, hi, samples)]
     _write_csv(cfg.out_dir, "hopf_margin.csv", ["r", "oscillation_margin"],
                rows)
     _write_csv(cfg.out_dir, "hopf_points.csv",

@@ -294,10 +294,12 @@ def turing_curve(alpha_range: tuple[float, float], d: float,
     wave numbers is the business of turing_analysis.
     """
     lo, hi = alpha_range
-    if not (0.0 < lo <= hi < 1.0):
+    if not (0.0 < lo < 1.0 and 0.0 < hi < 1.0):
         raise HypothesisError(
             f"turing_curve needs 0 < alpha range < 1, got {alpha_range!r}"
         )
+    if lo > hi:
+        raise ValueError(f"alpha range must not decrease, got {alpha_range!r}")
     if resolution < 1:
         raise ValueError("resolution must be at least 1")
 

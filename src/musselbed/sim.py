@@ -39,11 +39,15 @@ _MAX_STORED_BYTES = 2 * 2**30
 # Most time steps one run may take.
 _MAX_STEPS = 10**7
 # Most lanes of a homogeneous run stepped one by one in Python floats; a
-# wider run steps as one array.  A float lane takes ~0.43 µs per step,
-# the array loop ~11 µs per step at nearly any width (2-core Xeon,
-# Python 3.11, numpy 2.4), so the array loop wins from about 26 lanes.
+# wider run steps as one array.  A float lane takes ~0.4-0.6 µs per step
+# at tau = 0 and ~0.6-1 µs with a delay ring; the array loop takes
+# ~14-21 µs per step at tau = 0 and ~9-14 µs with a ring, at nearly any
+# width (2 shared Xeon cores, Python 3.11, numpy 2.4).  The array loop
+# wins from about 32-40 lanes at tau = 0 but from about 16-24 with a
+# ring, so a wider float loop would slow delayed runs.
 _FLOAT_LANES = 16
-# Most values of the delayed factor the array loop computes at once.
+# Most values of one temporary array: a window of the array loop's
+# delayed factor, or a block of frames in the orbit detector.
 _WINDOW_VALUES = 2**16
 
 
@@ -259,31 +263,43 @@ def _step_floats(q: ModelParams, ring: np.ndarray, out: np.ndarray,
     store, views into the shared arrays read and written in place.  Each
     float operation is the one correctly rounded IEEE operation that
     _step_arrays makes per element, in the same order, and the guard
-    check is its check on one lane, so both give the same bits.
+    check is its check on one lane, so both give the same bits.  Per
+    step the loop keeps its books in a few ints: a slot counter that
+    wraps (the slot a step reads is the one it then writes) and a
+    countdown to the next stored frame; at lag 0 the delayed state is
+    the current one and the ring is not touched.
     """
-    slots = lag + 1
+    rhs, low, high = reaction_rhs, _NEGATIVITY, _BLOWUP
     ring_m, ring_a = memoryview(ring[:, 0]), memoryview(ring[:, 1])
     out_m, out_a = memoryview(out[:, 0]), memoryview(out[:, 1])
     m, a = ring_m[0], ring_a[0]
-    prev_m = prev_a = None
-    frame = 1
+    # Step i reads the state of step i - lag from slot k = (i + 1) % (lag
+    # + 1).  The first step's rates stand in for the step before it.
+    k = 1 if lag else 0
+    prev_m, prev_a = rhs(m, a, ring_m[k], ring_a[k], q)
+    frame, countdown = 1, store_every
     for i in range(n_steps):
-        k = (i - lag) % slots
-        rate_m, rate_a = reaction_rhs(m, a, ring_m[k], ring_a[k], q)
-        if prev_m is None:
-            prev_m, prev_a = rate_m, rate_a
+        if lag:
+            rate_m, rate_a = rhs(m, a, ring_m[k], ring_a[k], q)
+        else:
+            rate_m, rate_a = rhs(m, a, m, a, q)
         m = m + dt * (1.5 * rate_m - 0.5 * prev_m)
         a = a + dt * (1.5 * rate_a - 0.5 * prev_a)
         prev_m, prev_a = rate_m, rate_a
-        k = (i + 1) % slots
-        ring_m[k], ring_a[k] = m, a
-        if not (_NEGATIVITY <= m <= _BLOWUP and _NEGATIVITY <= a <= a_bound):
+        if lag:
+            ring_m[k], ring_a[k] = m, a
+            k = k + 1 if k < lag else 0
+        if not (low <= m <= high and low <= a <= a_bound):
             msg = _guard_message((i + 1) * dt, m, a, m, a, a_bound)
             if msg is not None:
                 return NumericalError(msg)
-        if (i + 1) % store_every == 0 or i == n_steps - 1:
+        countdown -= 1
+        if not countdown:
             out_m[frame], out_a[frame] = m, a
             frame += 1
+            countdown = store_every
+    if countdown != store_every:   # the last step, past the last stride
+        out_m[frame], out_a[frame] = m, a
     return None
 
 
@@ -311,8 +327,12 @@ def _step_arrays(lanes: Sequence[ModelParams], hist: np.ndarray,
       and one tridiagonal solve of the state in its memory order takes
       the implicit half step of every species and lane: its matrix has a
       block per species and lane (_crank_factor), factored once per run.
-    - The guard check takes the minimum of the whole state and the
-      maximum of each row, and each row's minimum only when it trips.
+    - The rates of this step and of the last live in two buffers that
+      swap each step; they, the Adams-Bashforth sum and the kinetic
+      temporaries are allocated once per run, and written with out=.
+    - The guard check takes the minimum and the maximum of the whole
+      state, the maximum of each row only when some value passes the
+      least algae bound, and each row's minimum only when it trips.
     """
     p = lanes[0]
     n_lanes = len(lanes)
@@ -321,13 +341,20 @@ def _step_arrays(lanes: Sequence[ModelParams], hist: np.ndarray,
     y = hist[0].copy()
     m, a = y
     r = np.array([[q.r] for q in lanes])
-    # Each row's ceilings (blow-up for m, the algae bound for a), for a
-    # check that is cheap when none trip.
+    # Each row's ceilings (blow-up for m, the algae bound for a); a state
+    # no higher than the least of them passes them all.
     limits = np.array([[_BLOWUP] * n_lanes, a_bound])
+    ceiling = min(a_bound)
     errors: list[Optional[NumericalError]] = [None] * n_lanes
     # Ring slots per window of the delayed factor: the whole ring but for
     # a long one, whose copy could outgrow the storage limit.
     span = max(1, min(slots, _WINDOW_VALUES // y[0].size))
+    growths, recips = np.empty((2, span, *m.shape))
+    # This step's rates and the last step's, each with its two rows as
+    # views; they swap every step.
+    now, last = ((rates, *rates) for rates in (np.empty_like(y),
+                                               np.empty_like(y)))
+    eff, half, ma = np.empty_like(y), np.empty_like(y), np.empty_like(m)
 
     if grid is not None:
         from scipy.linalg.lapack import dgttrs  # loaded only when a PDE runs
@@ -343,25 +370,37 @@ def _step_arrays(lanes: Sequence[ModelParams], hist: np.ndarray,
         # Both ends at once: f[0] and f[-1], then f[1] and f[-2].
         y_ends, y_next = y[..., ::nx - 1], y[..., 1::nx - 3]
 
-    frame = 1
-    prev: Optional[np.ndarray] = None
-
+    # Step i reads slot k = (i + 1) % slots and then overwrites it.  The
+    # delayed factor is held for the window of slots [first, end); end
+    # starts at step 0's slot, so step 0 opens the first window.
+    k, end = 0, 1 % slots
+    frame, countdown = 1, store_every
     for i in range(n_steps):
-        k = (i + 1) % slots
-        if k % span == 0 or i == 0:
-            # Step i reads slot k and then overwrites it, so no slot of a
-            # window changes before the window's steps have read it.
+        k = k + 1 if k < lag else 0
+        if k == end or not k:
+            # A new window from slot k: no slot of a window changes
+            # before the window's steps have read it.
             first, end = k, min(slots, k - k % span + span)
-            growth = (r * hist[first:end, 1]
-                      - 1.0 / (1.0 + hist[first:end, 0]))
-        rate = np.empty_like(y)
-        np.multiply(m, growth[k - first], out=rate[0])
-        np.divide(p.alpha * (1.0 - a) - m * a, p.gamma, out=rate[1])
-        if prev is None:
-            prev = rate
-        eff = 1.5 * rate - 0.5 * prev
-        prev = rate
+            growth, recip = growths[:end - first], recips[:end - first]
+            np.multiply(r, hist[first:end, 1], out=growth)
+            np.add(1.0, hist[first:end, 0], out=recip)
+            np.divide(1.0, recip, out=recip)
+            growth -= recip
+        (rate, rate_m, rate_a), prev = now, last[0]
+        np.multiply(m, growth[k - first], out=rate_m)
+        # (alpha * (1 - a) - m * a) / gamma
+        np.subtract(1.0, a, out=rate_a)
+        rate_a *= p.alpha
+        np.multiply(m, a, out=ma)
+        rate_a -= ma
+        rate_a /= p.gamma
+        if i == 0:
+            prev[...] = rate
+        np.multiply(rate, 1.5, out=eff)
+        np.multiply(prev, 0.5, out=half)
+        eff -= half
         eff *= dt
+        now, last = last, now
         if grid is not None:
             # coef * (((f[i-1] - 2 f[i]) + f[i+1]) / h^2), with the mirror
             # closure 2 (f[1] - f[0]) at both ends.
@@ -379,8 +418,9 @@ def _step_arrays(lanes: Sequence[ModelParams], hist: np.ndarray,
             if info != 0:
                 raise NumericalError(f"diffusion solve failed (info {info})")
 
-        hi = y.max(axis=-1)
-        if not (y.min() >= _NEGATIVITY and (hi <= limits).all()):
+        if not (y.min() >= _NEGATIVITY
+                and (y.max() <= ceiling
+                     or (y.max(axis=-1) <= limits).all())):
             if grid is not None and not np.isfinite(y).all():
                 # In the block solve 0 * inf is NaN, so a non-finite value
                 # reaches every row: solve the step again from the same
@@ -391,8 +431,7 @@ def _step_arrays(lanes: Sequence[ModelParams], hist: np.ndarray,
                 for s in (0, 1):
                     dgttrs(*_crank_factor(coefs[s:s + 1], nx, grid.h),
                            y[s].T, overwrite_b=1)
-                hi = y.max(axis=-1)
-            lo = y.min(axis=-1)
+            hi, lo = y.max(axis=-1), y.min(axis=-1)
             t_now = (i + 1) * dt
             for b, (hm, ha, lm, la, bound) in enumerate(zip(
                     *hi.tolist(), *lo.tolist(), limits[1].tolist())):
@@ -401,13 +440,17 @@ def _step_arrays(lanes: Sequence[ModelParams], hist: np.ndarray,
                     errors[b] = NumericalError(msg)
                     y[0, b], y[1, b] = 0.0, 1.0   # parked at (0, 1)
                     hist[:, :, b] = y[:, b]
-                    prev[:, b] = growth[:, b] = 0.0
+                    rate[:, b] = growth[:, b] = 0.0
             if None not in errors:
                 break
         hist[k] = y
-        if (i + 1) % store_every == 0 or i == n_steps - 1:
+        countdown -= 1
+        if not countdown:
             frames[frame] = y
             frame += 1
+            countdown = store_every
+    if countdown != store_every:   # the last step, past the last stride
+        frames[frame] = y
 
     return errors
 
@@ -558,23 +601,27 @@ def detect_orbit(traj: Trajectory,
 
     Periodicity is read off the spatial mean of m: peak spacing must have
     a coefficient of variation below 2% and the peak amplitude must not
-    be decaying (late-to-early amplitude ratio at least 0.75).
+    be decaying (late-to-early amplitude ratio at least 0.75).  The
+    frames from t_cut on are read in place: times never decreases, so
+    they are a suffix.
     """
     if not 0.0 <= transient_fraction < 1.0:
         raise ValueError("transient fraction must lie in [0, 1)")
     t_cut = traj.times[-1] * transient_fraction
-    keep = traj.times >= t_cut
-    if int(np.sum(keep)) < 8:
+    start = int(np.searchsorted(traj.times, t_cut))
+    if len(traj.times) - start < 8:
         return OrbitSummary(False, None, (math.nan, math.nan),
                             (math.nan, math.nan), math.nan)
-    times = traj.times[keep]
-    m_fields = traj.fields_m[keep]
-    a_fields = traj.fields_a[keep]
+    times = traj.times[start:]
+    m_fields = traj.fields_m[start:]
     m_sig = m_fields.mean(axis=1)
-    a_sig = a_fields.mean(axis=1)
+    a_sig = traj.fields_a[start:].mean(axis=1)
     is_periodic, period = _signal_stats(m_sig, times)
     if m_fields.shape[1] > 1:
-        stds = m_fields.std(axis=1)
+        # A block of frames at a time, so no temporary holds them all.
+        block = max(1, _WINDOW_VALUES // m_fields.shape[1])
+        stds = np.concatenate([m_fields[j:j + block].std(axis=1)
+                               for j in range(0, len(m_fields), block)])
         scale = np.maximum(np.abs(m_sig), 1e-300)
         inhomogeneity = float(np.max(stds / scale))
     else:

@@ -134,8 +134,12 @@ def test_non_finite_parameter_is_a_usage_error(tmp_path, capsys, argv):
     ["tau-star", "--n-max", "-1"],
     ["tau-star", "--n-max", "1000000000"],
     ["verify", "--draws", "-1"],
+    ["turing-curve", "--alpha-min", "0.5", "--alpha-max", "0.1"],
+    ["hopf-curve", "--samples", "0"],
+    ["hopf-curve", "--samples", "-3"],
 ], ids=["sweep-r-steps-0", "tau-star-j-max-neg", "tau-star-n-max-neg",
-        "tau-star-n-max-huge", "verify-draws-neg"])
+        "tau-star-n-max-huge", "verify-draws-neg", "turing-curve-reversed",
+        "hopf-curve-samples-0", "hopf-curve-samples-neg"])
 def test_count_option_out_of_range_is_a_usage_error(tmp_path, capsys, argv):
     code = _run([*argv, *BASE, "--out", str(tmp_path)])
     assert code == EXIT_USAGE

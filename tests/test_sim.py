@@ -15,10 +15,11 @@ import math
 import numpy as np
 import pytest
 
-from musselbed import (Grid, ModelParams, NumericalError, Trajectory,
-                       amplitude_sweep, detect_orbit, hopf_coefficients,
-                       lyapunov_value, positive_equilibrium, simulate_ode,
-                       simulate_pde, tau_star)
+from musselbed import (Grid, ModelParams, NumericalError, OrbitSummary,
+                       Trajectory, amplitude_sweep, detect_orbit,
+                       hopf_coefficients, lyapunov_value,
+                       positive_equilibrium, simulate_ode, simulate_pde,
+                       tau_star)
 from musselbed.sim import (_DETECTION_FLOOR, _INTERVAL_CV_MAX,
                            _SUSTAIN_RATIO_MIN, _find_peaks, _signal_stats)
 
@@ -150,6 +151,41 @@ def test_orbit_detector_rejects_decaying_signal():
     traj = Trajectory(times=times, fields_m=fields,
                       fields_a=np.full_like(fields, 0.5), dt=0.05)
     assert not detect_orbit(traj, transient_fraction=0.25).is_periodic
+
+
+def _masked_detect_orbit(traj: Trajectory,
+                         transient_fraction: float) -> OrbitSummary:
+    """detect_orbit on boolean-mask copies of the post-transient frames,
+    with one std over all of them: the reference for the in-place form."""
+    keep = traj.times >= traj.times[-1] * transient_fraction
+    m_fields, a_fields = traj.fields_m[keep], traj.fields_a[keep]
+    m_sig, a_sig = m_fields.mean(axis=1), a_fields.mean(axis=1)
+    is_periodic, period = _signal_stats(m_sig, traj.times[keep])
+    inhomogeneity = 0.0
+    if m_fields.shape[1] > 1:
+        inhomogeneity = float(np.max(m_fields.std(axis=1)
+                                     / np.maximum(np.abs(m_sig), 1e-300)))
+    return OrbitSummary(is_periodic, period,
+                        (float(np.min(m_sig)), float(np.max(m_sig))),
+                        (float(np.min(a_sig)), float(np.max(a_sig))),
+                        inhomogeneity)
+
+
+@pytest.mark.parametrize("case", ["pde-periodic", "pde-decaying", "ode"])
+def test_orbit_detector_matches_the_masked_reference(case):
+    # A PDE run stores 6001 frames of 33 points: the spread is taken
+    # over four blocks.
+    p = _with_tau(2.0 if case == "pde-decaying" else 3.6)
+    if case == "ode":
+        eq = positive_equilibrium(p)
+        traj = simulate_ode(p, eq.m * 1.05, eq.a, t_end=600.0, dt=0.05)
+    else:
+        traj = simulate_pde(p, _cosine_history(p), Grid(32), t_end=600.0,
+                            dt=0.1)
+    for fraction in (0.0, 0.37, 0.5, 0.6):
+        assert (detect_orbit(traj, fraction)
+                == _masked_detect_orbit(traj, fraction)), fraction
+    assert detect_orbit(traj, 0.5).is_periodic == (case != "pde-decaying")
 
 
 def _reference_signal_stats(sig, times):

@@ -153,6 +153,51 @@ def test_ode_matches_serial_reference_bit_for_bit(tau):
     _assert_identical(got, want)
 
 
+def _array_loop_not_taken(*args, **kwargs):
+    raise AssertionError("a one-lane ODE run steps in Python floats")
+
+
+@pytest.mark.parametrize("store_every", [1, 3, 7])
+@pytest.mark.parametrize("tau, lag", [(0.0, 0), (0.1, 1), (3.6, 36)])
+def test_float_loop_matches_serial_reference_at_every_stride(
+        tau, lag, store_every, monkeypatch):
+    # A history that varies over [-tau, 0] tells every ring slot apart.
+    # 1500 steps: a stride of 7 leaves two steps past its last multiple,
+    # and the last step is stored all the same.
+    monkeypatch.setattr(sim, "_step_arrays", _array_loop_not_taken)
+    p = replace(REFERENCE, tau=tau)
+    assert _snap_dt(tau, 0.1)[1] == lag
+    eq = positive_equilibrium(p)
+    m_of = lambda t: np.array([eq.m * (1.05 + 0.01 * t)])
+    a_of = lambda t: np.array([eq.a * (1.0 - 0.02 * t)])
+    [got] = _integrate([p], lambda t: (m_of(t), a_of(t)), None, 150.0, 0.1,
+                       store_every)
+    want = _reference_integrate(p, m_of, a_of, 1, 1.0, 150.0, 0.1,
+                                diffusive=False, store_every=store_every)
+    assert len(got.times) == 1 + math.ceil(1500 / store_every)
+    _assert_identical(got, want)
+
+
+@pytest.mark.parametrize("m0, first", [(-1e-3, True), (-1e-12, False)],
+                         ids=["first-step", "mid-run"])
+@pytest.mark.parametrize("tau", [0.0, 3.6])
+def test_float_loop_trips_as_the_serial_reference_does(tau, m0, first,
+                                                       monkeypatch):
+    # m0 < 0 grows like -exp(t): below the negativity floor at once, or
+    # only near t = 4.6.
+    monkeypatch.setattr(sim, "_step_arrays", _array_loop_not_taken)
+    p = replace(REFERENCE, tau=tau)
+    with pytest.raises(NumericalError) as got:
+        simulate_ode(p, m0, 1.0, t_end=20.0, dt=0.1, store_every=7)
+    with pytest.raises(NumericalError) as want:
+        _reference_integrate(p, lambda t: np.array([m0]),
+                             lambda t: np.array([1.0]), 1, 1.0, 20.0, 0.1,
+                             diffusive=False, store_every=7)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("negative field at t = "
+                                     + ("0.1 " if first else "4."))
+
+
 @pytest.mark.parametrize("n, tau", [
     pytest.param(32, 3.6, id="32"),
     pytest.param(64, 3.6, id="64"),
