@@ -8,6 +8,12 @@ runs with identical inputs produce byte-identical files.
 
 Exit codes: 0 success, 1 configuration or usage error, 2 hypothesis
 violation, 3 numerical failure, 4 I/O failure.
+
+A fresh process loads only what its command runs: this module imports
+`exceptions` and `model` (neither loads numpy), and each ``_cmd_*``
+handler imports its own layer, and numpy only if it uses it.  So
+``--help``, ``classify``, ``tau-star`` and ``turing-curve`` run without
+numpy, and only a PDE ``simulate`` loads scipy.
 """
 
 from __future__ import annotations
@@ -20,18 +26,9 @@ import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Any, Callable, Iterable, NamedTuple, Optional
 
-import numpy as np
-
-from .checks import cross_checks
-from .delay import tau_star
 from .exceptions import HypothesisError, NumericalError
-from .linear import (boundary_stability, hopf_points_in_r, r_star,
-                     turing_analysis, turing_curve)
 from .model import (ModelParams, check_hypotheses, hopf_margin,
                     positive_equilibrium)
-from .normal_form import hopf_coefficients
-from .sim import (Grid, amplitude_sweep, detect_orbit, lyapunov_value,
-                  simulate_ode, simulate_pde)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -69,9 +66,10 @@ def _jsonable(obj: Any) -> Any:
         return float(_fmt(obj)) if math.isfinite(obj) else str(obj)
     if isinstance(obj, complex):
         return {"re": float(_fmt(obj.real)), "im": float(_fmt(obj.imag))}
-    if isinstance(obj, np.integer):
+    np = sys.modules.get("numpy")   # never loaded: no value is numpy's
+    if np is not None and isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, np.ndarray):
+    if np is not None and isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
@@ -222,6 +220,8 @@ def _resolve_options(command: str, config: dict[str, Any],
 
 
 def _cmd_classify(cfg: RunConfig) -> int:
+    from .linear import boundary_stability, turing_analysis
+
     p = cfg.params
     report = check_hypotheses(p)
     payload: dict[str, Any] = {
@@ -256,6 +256,10 @@ def _cmd_classify(cfg: RunConfig) -> int:
 
 
 def _cmd_hopf_curve(cfg: RunConfig) -> int:
+    import numpy as np
+
+    from .linear import hopf_points_in_r, r_star
+
     p = cfg.params
     samples = cfg.options["samples"]
     if samples < 1:
@@ -283,6 +287,8 @@ def _cmd_hopf_curve(cfg: RunConfig) -> int:
 
 
 def _cmd_turing_curve(cfg: RunConfig) -> int:
+    from .linear import turing_curve
+
     p = cfg.params
     amin = cfg.options["alpha_min"]
     amax = cfg.options["alpha_max"]
@@ -298,6 +304,8 @@ def _cmd_turing_curve(cfg: RunConfig) -> int:
 
 
 def _cmd_tau_star(cfg: RunConfig) -> int:
+    from .delay import tau_star
+
     p = cfg.params
     ts = tau_star(p, n_max=cfg.options["n_max"],
                   j_max=cfg.options["j_max"])
@@ -314,6 +322,8 @@ def _cmd_tau_star(cfg: RunConfig) -> int:
 
 
 def _cmd_normal_form(cfg: RunConfig) -> int:
+    from .normal_form import hopf_coefficients
+
     hc = hopf_coefficients(cfg.params)
     ts, ep, cm = hc.tau_star, hc.eigenpair, hc.manifold
     payload = {
@@ -340,6 +350,8 @@ def _cmd_normal_form(cfg: RunConfig) -> int:
 
 
 def _history_factory(p: ModelParams, amplitude: float, wavenumber: int):
+    import numpy as np
+
     eq = positive_equilibrium(p)
 
     def history(x: np.ndarray, t: float):
@@ -378,6 +390,11 @@ print("wrote timeseries.png")
 
 
 def _cmd_simulate(cfg: RunConfig) -> int:
+    import numpy as np
+
+    from .sim import (Grid, detect_orbit, lyapunov_value, simulate_ode,
+                      simulate_pde)
+
     p = cfg.params
     opts = cfg.options
     t_end, dt = opts["t_end"], opts["dt"]
@@ -425,6 +442,10 @@ def _cmd_simulate(cfg: RunConfig) -> int:
 
 
 def _cmd_sweep(cfg: RunConfig) -> int:
+    import numpy as np
+
+    from .sim import amplitude_sweep
+
     p = cfg.params
     opts = cfg.options
     r_min, r_max, r_steps = opts["r_min"], opts["r_max"], opts["r_steps"]
@@ -461,6 +482,8 @@ def _cmd_sweep(cfg: RunConfig) -> int:
 
 
 def _cmd_verify(cfg: RunConfig) -> int:
+    from .checks import cross_checks
+
     checks = cross_checks(cfg.params, cfg.options["spectrum_n"],
                           cfg.options["draws"])
     rows = [[c.name, "pass" if c.ok else "FAIL", c.detail] for c in checks]

@@ -18,7 +18,6 @@ loops make the same IEEE operations and give the same bits.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Optional, Sequence
@@ -331,8 +330,10 @@ def _step_arrays(lanes: Sequence[ModelParams], hist: np.ndarray,
       swap each step; they, the Adams-Bashforth sum and the kinetic
       temporaries are allocated once per run, and written with out=.
     - The guard check takes the minimum and the maximum of the whole
-      state, the maximum of each row only when some value passes the
-      least algae bound, and each row's minimum only when it trips.
+      state; when some value passes the least algae bound, the maximum
+      of each species (m against the blow-up level, a against that
+      bound), then of each row only when that fails too, and each row's
+      minimum only when it trips.
     """
     p = lanes[0]
     n_lanes = len(lanes)
@@ -420,6 +421,7 @@ def _step_arrays(lanes: Sequence[ModelParams], hist: np.ndarray,
 
         if not (y.min() >= _NEGATIVITY
                 and (y.max() <= ceiling
+                     or (m.max() <= _BLOWUP and a.max() <= ceiling)
                      or (y.max(axis=-1) <= limits).all())):
             if grid is not None and not np.isfinite(y).all():
                 # In the block solve 0 * inf is NaN, so a non-finite value
@@ -595,6 +597,11 @@ def _signal_stats(sig: np.ndarray, times: np.ndarray
     return False, None
 
 
+def _check_transient_fraction(transient_fraction: float) -> None:
+    if not 0.0 <= transient_fraction < 1.0:
+        raise ValueError("transient fraction must lie in [0, 1)")
+
+
 def detect_orbit(traj: Trajectory,
                  transient_fraction: float = 0.5) -> OrbitSummary:
     """Classify the post-transient trajectory as periodic or not.
@@ -605,8 +612,7 @@ def detect_orbit(traj: Trajectory,
     frames from t_cut on are read in place: times never decreases, so
     they are a suffix.
     """
-    if not 0.0 <= transient_fraction < 1.0:
-        raise ValueError("transient fraction must lie in [0, 1)")
+    _check_transient_fraction(transient_fraction)
     t_cut = traj.times[-1] * transient_fraction
     start = int(np.searchsorted(traj.times, t_cut))
     if len(traj.times) - start < 8:
@@ -648,9 +654,13 @@ def amplitude_sweep(p_base: ModelParams, r_values: list[float],
     """Run the homogeneous reduction across a recruitment range.
 
     Each run starts from a fixed small displacement of the coexistence
-    state, and all runs step together as lanes of one integration;
-    failures are recorded per point and the sweep continues.
+    state, and all runs step together as lanes of one integration.  A
+    point whose equilibrium or run fails gets its error recorded and the
+    sweep continues.  An argument that would fail every point alike (a
+    bad transient_fraction, t_end or dt, or a tau / dt that overflows)
+    raises before any step is taken.
     """
+    _check_transient_fraction(transient_fraction)
     outcomes: list = []   # per r: its exception, or (params, equilibrium)
     for r in r_values:
         try:
@@ -665,11 +675,8 @@ def amplitude_sweep(p_base: ModelParams, r_values: list[float],
     if lanes:
         m0 = np.array([[eq.m * 1.05] for _, eq in lanes])
         a0 = np.array([[eq.a] for _, eq in lanes])
-        try:
-            runs = iter(_integrate([p for p, _ in lanes], lambda t: (m0, a0),
-                                   None, t_end, dt, None))
-        except Exception as exc:  # noqa: BLE001 - fails every lane alike
-            runs = itertools.repeat(exc)
+        runs = iter(_integrate([p for p, _ in lanes], lambda t: (m0, a0),
+                               None, t_end, dt, None))
 
     table: list[SweepPoint] = []
     for r, outcome in zip(r_values, outcomes):

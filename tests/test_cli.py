@@ -137,9 +137,17 @@ def test_non_finite_parameter_is_a_usage_error(tmp_path, capsys, argv):
     ["turing-curve", "--alpha-min", "0.5", "--alpha-max", "0.1"],
     ["hopf-curve", "--samples", "0"],
     ["hopf-curve", "--samples", "-3"],
+    # Run-level sweep arguments fail every point alike: no sweep.csv.
+    ["sweep", "--dt", "0"],
+    ["sweep", "--dt", "-1"],
+    ["sweep", "--t-end", "1e12"],
+    ["sweep", "--transient-fraction", "1"],
+    ["sweep", "--transient-fraction", "2"],
 ], ids=["sweep-r-steps-0", "tau-star-j-max-neg", "tau-star-n-max-neg",
         "tau-star-n-max-huge", "verify-draws-neg", "turing-curve-reversed",
-        "hopf-curve-samples-0", "hopf-curve-samples-neg"])
+        "hopf-curve-samples-0", "hopf-curve-samples-neg", "sweep-dt-0",
+        "sweep-dt-neg", "sweep-t-end-huge", "sweep-transient-fraction-1",
+        "sweep-transient-fraction-2"])
 def test_count_option_out_of_range_is_a_usage_error(tmp_path, capsys, argv):
     code = _run([*argv, *BASE, "--out", str(tmp_path)])
     assert code == EXIT_USAGE
@@ -313,14 +321,15 @@ def test_simulate_whose_step_count_overflows_is_a_usage_error(
     assert not os.listdir(tmp_path)
 
 
-def test_sweep_rows_report_an_overflowing_delay(tmp_path):
+def test_sweep_with_an_overflowing_delay_is_a_usage_error(tmp_path, capsys):
+    # The delay is shared by every point, so no point gets a row of its own.
     code = _run(["sweep", *BASE, "--tau", "1e300", "--dt", "1e-10",
                  "--r-steps", "2", "--out", str(tmp_path)])
-    assert code == EXIT_OK
-    rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
-    assert len(rows) == 2
-    assert all(",error,,,,ValueError: tau / dt overflows" in row
-               for row in rows)
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: tau / dt overflows")
+    assert err.count("\n") == 1
+    assert not os.listdir(tmp_path)
 
 
 def test_hopf_curve_outputs_window(tmp_path, capsys):

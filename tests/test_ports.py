@@ -7,11 +7,16 @@ importing the package loads no scipy module; only a PDE run loads
 scipy's LAPACK.  The scipy functions stay the independent oracle here:
 the ports must give the same floats and the same indices, bit for bit,
 and the spectrum the same eigenvalues to 1e-10 relative.
+
+The same fresh-interpreter probe pins the start-up contract: the package
+resolves its names lazily, and the CLI imports each layer (and numpy)
+only in the commands that use it.
 """
 
 from __future__ import annotations
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -217,21 +222,32 @@ def test_discrete_spectrum_matches_scipy_generalized_eig(p, n_grid):
     assert (np.diff(got.real) <= 0).all()
 
 
-def _scipy_modules_after(code: str) -> list[str]:
-    """The scipy modules a fresh interpreter holds after running code."""
+def _modules_after(code: str, prefix: str) -> list[str]:
+    """The modules named prefix or prefix.* that a fresh interpreter holds
+    after running code."""
     src = str(Path(musselbed.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code += "; print('\\n'.join(sorted(sys.modules)))"
+    code += "\nimport json, sys; print(json.dumps(sorted(sys.modules)))"
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
-    return [m for m in done.stdout.split()
-            if m == "scipy" or m.startswith("scipy.")]
+    return [m for m in json.loads(done.stdout.splitlines()[-1])
+            if m == prefix or m.startswith(prefix + ".")]
 
 
 def test_package_import_loads_no_heavy_scipy_subpackage():
-    loaded = _scipy_modules_after("import sys, musselbed, musselbed.cli")
+    loaded = _modules_after("import musselbed, musselbed.cli", "scipy")
     assert not loaded, f"import musselbed loaded {loaded}"
+
+
+def _cli_calls(runs: list[list[str]], out: Path) -> str:
+    """Code that runs each argv through the CLI at the README point."""
+    code = "from musselbed.cli import main"
+    for k, argv in enumerate(runs):
+        argv = [*argv, "--r", "2", "--alpha", "0.1", "--gamma", "0.5",
+                "--out", str(out / str(k))]
+        code += f"\nassert main({argv!r}) == 0"
+    return code
 
 
 def test_analysis_and_ode_commands_load_no_scipy(tmp_path):
@@ -239,14 +255,46 @@ def test_analysis_and_ode_commands_load_no_scipy(tmp_path):
     runs = [["tau-star"],
             ["sweep", "--r-steps", "3", "--t-end", "50", "--dt", "0.05"],
             ["verify", "--draws", "2", "--spectrum-n", "100"]]
-    code = "import sys; from musselbed.cli import main"
-    for k, argv in enumerate(runs):
-        argv += ["--r", "2", "--alpha", "0.1", "--gamma", "0.5",
-                 "--out", str(tmp_path / str(k))]
-        code += f"; assert main({argv!r}) == 0"
-    loaded = _scipy_modules_after(code)
+    loaded = _modules_after(_cli_calls(runs, tmp_path), "scipy")
     assert not loaded, f"the commands loaded {loaded}"
     assert all(os.listdir(tmp_path / str(k)) for k in range(len(runs)))
+
+
+@pytest.mark.parametrize("code", [
+    "import musselbed, musselbed.cli",
+    "from musselbed.cli import main\ntry:\n    main(['--help'])\n"
+    "except SystemExit as exc:\n    assert exc.code == 0",
+], ids=["import", "help"])
+def test_package_import_and_help_load_only_the_cli_and_model(code):
+    assert not _modules_after(code, "numpy")
+    assert set(_modules_after(code, "musselbed")) == {
+        "musselbed", "musselbed.cli", "musselbed.exceptions",
+        "musselbed.model"}
+
+
+def test_closed_form_commands_load_no_numpy(tmp_path):
+    runs = [["classify"], ["tau-star"],
+            ["turing-curve", "--resolution", "2"]]
+    loaded = _modules_after(_cli_calls(runs, tmp_path), "numpy")
+    assert not loaded, f"the commands loaded {loaded}"
+    assert all(os.listdir(tmp_path / str(k)) for k in range(len(runs)))
+
+
+def test_every_export_resolves_to_its_home_module():
+    names = [n for n in musselbed.__all__ if n != "__version__"]
+    assert len(names) == len(set(names)) == 54
+    for name in names:
+        home = f"musselbed.{musselbed._HOME[name]}"
+        assert getattr(musselbed, name).__module__ == home, name
+        assert name in dir(musselbed)
+    for module in ("checks", "cli", "delay", "sim", "verify"):
+        assert getattr(musselbed, module).__name__ == f"musselbed.{module}"
+    star: dict = {}
+    exec("from musselbed import *", star)
+    assert set(musselbed.__all__) <= set(star)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        musselbed.no_such_name
+    assert not hasattr(musselbed, "numpy")
 
 
 def _package_imports(path: Path) -> set[str]:
@@ -271,4 +319,4 @@ def test_only_checks_imports_an_oracle_together_with_its_target():
     assert "verify" not in _package_imports(src / "cli.py")
     importers = {path.stem for path in src.glob("*.py")
                  if "verify" in _package_imports(path)}
-    assert importers == {"__init__", "checks"}
+    assert importers == {"checks"}
