@@ -12,8 +12,9 @@ violation, 3 numerical failure, 4 I/O failure.
 A fresh process loads only what its command runs: this module imports
 `exceptions` and `model` (neither loads numpy), and each ``_cmd_*``
 handler imports its own layer, and numpy only if it uses it.  So
-``--help``, ``classify``, ``tau-star`` and ``turing-curve`` run without
-numpy, and only a PDE ``simulate`` loads scipy.
+``--help``, ``classify``, ``tau-star``, ``turing-curve``, ``normal-form``
+and ``hopf-curve`` run without numpy, and only a PDE ``simulate`` loads
+scipy.
 """
 
 from __future__ import annotations
@@ -66,16 +67,24 @@ def _jsonable(obj: Any) -> Any:
         return float(_fmt(obj)) if math.isfinite(obj) else str(obj)
     if isinstance(obj, complex):
         return {"re": float(_fmt(obj.real)), "im": float(_fmt(obj.imag))}
-    np = sys.modules.get("numpy")   # never loaded: no value is numpy's
-    if np is not None and isinstance(obj, np.integer):
-        return int(obj)
-    if np is not None and isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     return str(obj)
+
+
+def _grid(lo: float, hi: float, n: int, name: str) -> list[float]:
+    """n evenly spaced floats from lo to hi, bit for bit numpy.linspace:
+    i * step + lo (i / (n - 1) * (hi - lo) + lo where the step underflows
+    to zero), with hi itself last.  The count is option `name`."""
+    if n < 1:
+        raise CliError(EXIT_USAGE, f"{name} must be at least 1, got {n}")
+    if n == 1:
+        return [0.0 * (hi - lo) + lo]
+    step = (hi - lo) / (n - 1)
+    return [(i * step if step else i / (n - 1) * (hi - lo)) + lo
+            for i in range(n - 1)] + [hi]
 
 
 def _write_text(out_dir: str, name: str, text: str) -> None:
@@ -256,21 +265,15 @@ def _cmd_classify(cfg: RunConfig) -> int:
 
 
 def _cmd_hopf_curve(cfg: RunConfig) -> int:
-    import numpy as np
-
     from .linear import hopf_points_in_r, r_star
 
     p = cfg.params
-    samples = cfg.options["samples"]
-    if samples < 1:
-        raise ValueError(f"--samples must be at least 1, got {samples}")
+    rs = _grid(1.0 + 1e-9, 1.0 / p.alpha - 1e-9, cfg.options["samples"],
+               "--samples")
     points = hopf_points_in_r(p.alpha, p.gamma)
     star = r_star(p.alpha)
-    lo, hi = 1.0 + 1e-9, 1.0 / p.alpha - 1e-9
-    rows = [[float(r), hopf_margin(replace(p, r=float(r)))]
-            for r in np.linspace(lo, hi, samples)]
     _write_csv(cfg.out_dir, "hopf_margin.csv", ["r", "oscillation_margin"],
-               rows)
+               [[r, hopf_margin(replace(p, r=r))] for r in rs])
     _write_csv(cfg.out_dir, "hopf_points.csv",
                ["r", "transversality_sign"],
                [[pt.r, pt.transversality_sign] for pt in points])
@@ -334,11 +337,10 @@ def _cmd_normal_form(cfg: RunConfig) -> int:
         "direction": hc.direction, "orbit_stability": hc.orbit_stability,
         "period_trend": hc.period_trend,
         "manifold": {
-            "w20_at_delay": list(cm.w20_m1), "w20_at_zero": list(cm.w20_0),
-            "w11_at_delay": list(cm.w11_m1), "w11_at_zero": list(cm.w11_0),
-            "e1": {str(n): list(v) for n, v in sorted(cm.e1.items())},
-            "e2": {str(n): list(v) for n, v in sorted(cm.e2.items())},
-            "f_hat_20": list(cm.f_hat_20), "f_hat_11": list(cm.f_hat_11),
+            "w20_at_delay": cm.w20_m1, "w20_at_zero": cm.w20_0,
+            "w11_at_delay": cm.w11_m1, "w11_at_zero": cm.w11_0,
+            "e1": cm.e1, "e2": cm.e2,
+            "f_hat_20": cm.f_hat_20, "f_hat_11": cm.f_hat_11,
             "q1_term": cm.q1_term, "q2_term": cm.q2_term,
         },
     }
@@ -442,18 +444,13 @@ def _cmd_simulate(cfg: RunConfig) -> int:
 
 
 def _cmd_sweep(cfg: RunConfig) -> int:
-    import numpy as np
-
     from .sim import amplitude_sweep
 
     p = cfg.params
     opts = cfg.options
     r_min, r_max, r_steps = opts["r_min"], opts["r_max"], opts["r_steps"]
-    if r_steps < 1:
-        raise CliError(EXIT_USAGE,
-                       f"r_steps must be at least 1, got {r_steps}")
-    rs = [float(v) for v in np.linspace(r_min, r_max, r_steps)]
-    table = amplitude_sweep(p, rs, t_end=opts["t_end"], dt=opts["dt"],
+    table = amplitude_sweep(p, _grid(r_min, r_max, r_steps, "r_steps"),
+                            t_end=opts["t_end"], dt=opts["dt"],
                             transient_fraction=opts["transient_fraction"])
     rows = []
     oscillating = []

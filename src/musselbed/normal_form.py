@@ -12,7 +12,8 @@ evolution equation is Gamma^{-1} * (f1, f2), so every second-component
 quantity carries a factor 1/gamma.  The adjoint eigenvector is paired
 through the Gamma-weighted bilinear form; its second-row entry therefore
 also carries 1/gamma relative to the raw left null vector of the mode
-matrix.
+matrix.  All of it is scalar algebra on one mode's 2x2 system, done on
+Python complex scalars; a vector is a pair of them.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .delay import TauStar, char_residual, eigenvalue_slope, tau_star
 from .exceptions import NumericalError
@@ -33,6 +32,8 @@ _RESIDUAL_TOL = 1e-8
 _PAIRING_TOL = 1e-8
 _SOLVE_TOL = 1e-12
 _DET_GUARD = 1e-14
+
+_Vec = tuple[complex, complex]
 
 
 @dataclass(frozen=True)
@@ -109,14 +110,14 @@ class CenterManifoldTerms:
     g20: complex
     g11: complex
     g02: complex
-    w20_m1: np.ndarray
-    w20_0: np.ndarray
-    w11_m1: np.ndarray
-    w11_0: np.ndarray
-    e1: dict[int, np.ndarray]
-    e2: dict[int, np.ndarray]
-    f_hat_20: np.ndarray
-    f_hat_11: np.ndarray
+    w20_m1: _Vec
+    w20_0: _Vec
+    w11_m1: _Vec
+    w11_0: _Vec
+    e1: dict[int, _Vec]
+    e2: dict[int, _Vec]
+    f_hat_20: _Vec
+    f_hat_11: _Vec
     q1_term: complex
     q2_term: complex
     quartic: float
@@ -196,24 +197,21 @@ def nonlinear_expansion(p: ModelParams) -> NonlinearExpansion:
 
 
 def _quadratic_brackets(p: ModelParams, ep: Eigenpair,
-                        ex: NonlinearExpansion
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                        ex: NonlinearExpansion) -> tuple[_Vec, _Vec, _Vec]:
     """Kinetics evaluated on the quadratic monomials of the center basis.
 
     Returns the three 2-vectors multiplying z^2, z*conj z and conj z^2 in
     Gamma^{-1} f restricted to the eigenplane (spatial profile factored
-    out).
+    out).  The conj z^2 vector is the conjugate of the z^2 one.
     """
     c2, c3 = ex.uu_cross, -ex.uu_delay
     em = cmath.exp(-1j * ep.omega * ep.tau_star)
-    epl = em.conjugate()
-    q1, q1c = ep.q1, ep.q1.conjugate()
-    f20 = np.array([2 * p.r * q1 * em + 2 * c2 * em - 2 * c3 * em ** 2,
-                    -2.0 * q1 / p.gamma], dtype=complex)
-    f11 = np.array([2 * (p.r * q1 * em + c2 * em).real - 2 * c3,
-                    -(q1 + q1c) / p.gamma], dtype=complex)
-    f02 = np.array([2 * p.r * q1c * epl + 2 * c2 * epl - 2 * c3 * epl ** 2,
-                    -2.0 * q1c / p.gamma], dtype=complex)
+    q1 = ep.q1
+    f20 = (2 * p.r * q1 * em + 2 * c2 * em - 2 * c3 * em ** 2,
+           -2.0 * q1 / p.gamma)
+    f11 = (complex(2 * (p.r * q1 * em + c2 * em).real - 2 * c3),
+           -(q1 + q1.conjugate()) / p.gamma)
+    f02 = (f20[0].conjugate(), f20[1].conjugate())
     return f20, f11, f02
 
 
@@ -228,6 +226,26 @@ def _mode_integrals(p: ModelParams, n0: int) -> tuple[float, float, dict[int, fl
         return 1.0 / math.sqrt(lpi), 1.0 / lpi, {0: 1.0 / math.sqrt(lpi)}
     return 0.0, 1.5 / lpi, {0: 1.0 / math.sqrt(lpi),
                             2 * n0: 1.0 / math.sqrt(2.0 * lpi)}
+
+
+def _solve(a: tuple[_Vec, _Vec], b: _Vec, singular: str,
+           unstable: str) -> _Vec:
+    """x with a x = b by Gaussian elimination with partial pivoting (Cramer's
+    rule is not backward stable: past tau* ~ 1e7 it trips _SOLVE_TOL).
+    Raises NumericalError(singular) for |det a| < _DET_GUARD and
+    NumericalError(unstable) for a residual above _SOLVE_TOL."""
+    (a00, a01), (a10, a11) = a
+    det = a00 * a11 - a01 * a10
+    if abs(det) < _DET_GUARD:
+        raise NumericalError(f"{singular} (determinant {abs(det):.3e})")
+    rows = [(a00, a01, b[0]), (a10, a11, b[1])]
+    (u0, u1, y0), (l0, l1, y1) = rows[::-1] if abs(a10) > abs(a00) else rows
+    factor = l0 / u0
+    x1 = (y1 - factor * y0) / (l1 - factor * u1)
+    x0 = (y0 - u1 * x1) / u0
+    if max(abs(r0 * x0 + r1 * x1 - y) for r0, r1, y in rows) > _SOLVE_TOL:
+        raise NumericalError(unstable)
+    return x0, x1
 
 
 def center_manifold_terms(p: ModelParams, ep: Eigenpair
@@ -248,69 +266,51 @@ def center_manifold_terms(p: ModelParams, ep: Eigenpair
     cube, quart, weights = _mode_integrals(p, ep.n0)
     ex = nonlinear_expansion(p)
     f20, f11, f02 = _quadratic_brackets(p, ep, ex)
-    if cube == 0.0:
-        g20 = g11 = g02 = 0j
-    else:
-        scale = tau * ep.m_norm * cube
-        g20 = scale * (ep.q2 * f20[0] + f20[1])
-        g11 = scale * (ep.q2 * f11[0] + f11[1])
-        g02 = scale * (ep.q2 * f02[0] + f02[1])
+    scale = tau * ep.m_norm * cube
+    g20, g11, g02 = (scale * (ep.q2 * f[0] + f[1]) if cube else 0j
+                     for f in (f20, f11, f02))
 
-    def generator(n: int, z: complex) -> np.ndarray:
+    def resolvent(n: int, s: complex) -> tuple[_Vec, _Vec]:
+        """s - tau * L_n(e^{-s}): mode n's linear system at frequency s."""
         ksq = p.wavenumber_sq(n)
-        decay = cmath.exp(-z)
-        return tau * np.array(
-            [[eq.delayed_self * decay - p.d * ksq, p.r * eq.m * decay],
-             [-eq.a / p.gamma, (-(p.alpha + eq.m) - ksq) / p.gamma]],
-            dtype=complex)
+        decay = cmath.exp(-s)
+        return ((s - tau * (eq.delayed_self * decay - p.d * ksq),
+                 -(tau * (p.r * eq.m * decay))),
+                (tau * (eq.a / p.gamma),
+                 s - tau * ((-(p.alpha + eq.m) - ksq) / p.gamma)))
 
-    e1: dict[int, np.ndarray] = {}
-    e2: dict[int, np.ndarray] = {}
+    e1: dict[int, _Vec] = {}
+    e2: dict[int, _Vec] = {}
     for n, weight in weights.items():
-        rhs20 = tau * weight * f20
-        rhs11 = tau * weight * f11
-        a_res = 2j * wt * np.eye(2) - generator(n, 2j * wt)
-        det = a_res[0, 0] * a_res[1, 1] - a_res[0, 1] * a_res[1, 0]
-        if abs(det) < _DET_GUARD:
-            raise NumericalError(
-                f"resonance: twice the crossing frequency is an eigenvalue "
-                f"of mode {n} (determinant {abs(det):.3e})")
-        vec1 = np.linalg.solve(a_res, rhs20)
-        if np.max(np.abs(a_res @ vec1 - rhs20)) > _SOLVE_TOL:
-            raise NumericalError(f"ill-conditioned quadratic solve, mode {n}")
-        a_zero = generator(n, 0.0)
-        det0 = a_zero[0, 0] * a_zero[1, 1] - a_zero[0, 1] * a_zero[1, 0]
-        if abs(det0) < _DET_GUARD:
-            raise NumericalError(
-                f"singular zero-frequency system for mode {n}: the steady "
-                f"state is degenerate (determinant {abs(det0):.3e})")
-        vec2 = np.linalg.solve(a_zero, -rhs11)
-        if np.max(np.abs(a_zero @ vec2 + rhs11)) > _SOLVE_TOL:
-            raise NumericalError(f"ill-conditioned static solve, mode {n}")
-        e1[n] = vec1
-        e2[n] = vec2
+        e1[n] = _solve(resolvent(n, 2j * wt),
+                       (tau * weight * f20[0], tau * weight * f20[1]),
+                       f"resonance: twice the crossing frequency is an "
+                       f"eigenvalue of mode {n}",
+                       f"ill-conditioned quadratic solve, mode {n}")
+        e2[n] = _solve(resolvent(n, 0.0),
+                       (tau * weight * f11[0], tau * weight * f11[1]),
+                       f"singular zero-frequency system for mode {n}: the "
+                       f"steady state is degenerate",
+                       f"ill-conditioned static solve, mode {n}")
 
-    q0 = np.array([1.0, ep.q1], dtype=complex)
-    q0c = q0.conjugate()
+    q0, q0c = (1.0, ep.q1), (1.0, ep.q1.conjugate())
 
-    def w20(theta: float) -> np.ndarray:
-        base = (-g20 / (1j * wt) * q0 * cmath.exp(1j * wt * theta)
-                - g02.conjugate() / (3j * wt) * q0c
-                * cmath.exp(-1j * wt * theta)) * cube
+    def w(theta: float, plus: complex, minus: complex,
+          e: dict[int, _Vec], s: complex) -> _Vec:
+        """plus q e^{i wt theta} - minus conj(q) e^{-i wt theta}, times cube,
+        plus each mode's e[n] e^{s theta} times its weight."""
+        rise, fall = cmath.exp(1j * wt * theta), cmath.exp(-1j * wt * theta)
+        out = [(plus * q0[j] * rise - minus * q0c[j] * fall) * cube
+               for j in (0, 1)]
         for n, weight in weights.items():
-            base = base + e1[n] * cmath.exp(2j * wt * theta) * weight
-        return base
+            out = [v + x * cmath.exp(s * theta) * weight
+                   for v, x in zip(out, e[n])]
+        return out[0], out[1]
 
-    def w11(theta: float) -> np.ndarray:
-        base = (g11 / (1j * wt) * q0 * cmath.exp(1j * wt * theta)
-                - g11.conjugate() / (1j * wt) * q0c
-                * cmath.exp(-1j * wt * theta)) * cube
-        for n, weight in weights.items():
-            base = base + e2[n] * weight
-        return base
-
-    w20_m1, w20_0 = w20(-1.0), w20(0.0)
-    w11_m1, w11_0 = w11(-1.0), w11(0.0)
+    w20 = (-g20 / (1j * wt), g02.conjugate() / (3j * wt), e1, 2j * wt)
+    w11 = (g11 / (1j * wt), g11.conjugate() / (1j * wt), e2, 0.0)
+    w20_m1, w20_0 = w(-1.0, *w20), w(0.0, *w20)
+    w11_m1, w11_0 = w(-1.0, *w11), w(0.0, *w11)
 
     c2, c3, c4, c5 = (ex.uu_cross, -ex.uu_delay, ex.uuu_delay,
                       -ex.u_uu_delay)

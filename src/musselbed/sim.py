@@ -170,6 +170,37 @@ def _too_many_steps(steps: float) -> ValueError:
                       f"{_MAX_STEPS:.3g}); shorten t_end or raise dt")
 
 
+def _schedule(tau: float, t_end: float, dt_requested: float, width: int,
+              store_every: Optional[int]) -> tuple[float, int, int, int, int]:
+    """(dt, lag, n_steps, store_every, n_frames) of a run whose lanes hold
+    width points in all, or the ValueError that refuses it for every lane."""
+    if not 0 < t_end < math.inf:
+        raise ValueError(f"t_end must be positive and finite, got {t_end}")
+    dt, lag = _snap_dt(tau, dt_requested)
+    steps = t_end / dt
+    # round() has no int for inf; a finite count is refused below, after
+    # the storage it would need.
+    if steps == math.inf:
+        raise _too_many_steps(steps)
+    n_steps = max(1, int(round(steps)))
+    if store_every is None:
+        # A stride past the last step stores just that step; capping it
+        # there also keeps an overflowing 0.05 / dt countable.
+        store_every = max(1, int(round(min(0.05 / dt, n_steps))))
+    if store_every < 1:
+        raise ValueError("store_every must be a positive integer")
+    n_frames = 1 + math.ceil(n_steps / store_every)
+    stored = (lag + 1 + n_frames) * 2 * width * 8
+    if stored > _MAX_STORED_BYTES:
+        raise ValueError(
+            f"run would store {stored / 2**30:.3g} GiB of delay history and "
+            f"frames (limit {_MAX_STORED_BYTES / 2**30:.3g} GiB); shorten "
+            f"t_end or tau or raise dt")
+    if n_steps > _MAX_STEPS:
+        raise _too_many_steps(n_steps)
+    return dt, lag, n_steps, store_every, n_frames
+
+
 def _integrate(lanes: Sequence[ModelParams],
                history: Callable[[float], tuple[np.ndarray, np.ndarray]],
                grid: Optional[Grid], t_end: float, dt_requested: float,
@@ -196,33 +227,11 @@ def _integrate(lanes: Sequence[ModelParams],
     p = lanes[0]
     if any(replace(q, r=p.r) != p for q in lanes):
         raise ValueError("lanes may differ only in r")
-    if not 0 < t_end < math.inf:
-        raise ValueError(f"t_end must be positive and finite, got {t_end}")
-    dt, lag = _snap_dt(p.tau, dt_requested)
-    steps = t_end / dt
-    # round() has no int for inf; a finite count is refused below, after
-    # the storage it would need.
-    if steps == math.inf:
-        raise _too_many_steps(steps)
-    n_steps = max(1, int(round(steps)))
-    if store_every is None:
-        # A stride past the last step stores just that step; capping it
-        # there also keeps an overflowing 0.05 / dt countable.
-        store_every = max(1, int(round(min(0.05 / dt, n_steps))))
-    if store_every < 1:
-        raise ValueError("store_every must be a positive integer")
     n_lanes = len(lanes)
     nx = 1 if grid is None else grid.points
+    dt, lag, n_steps, store_every, n_frames = _schedule(
+        p.tau, t_end, dt_requested, n_lanes * nx, store_every)
     slots = lag + 1
-    n_frames = 1 + math.ceil(n_steps / store_every)
-    stored = (slots + n_frames) * 2 * n_lanes * nx * 8
-    if stored > _MAX_STORED_BYTES:
-        raise ValueError(
-            f"run would store {stored / 2**30:.3g} GiB of delay history and "
-            f"frames (limit {_MAX_STORED_BYTES / 2**30:.3g} GiB); shorten "
-            f"t_end or tau or raise dt")
-    if n_steps > _MAX_STEPS:
-        raise _too_many_steps(n_steps)
 
     hist = np.empty((slots, 2, n_lanes, nx))
     for j in range(-lag, 1):
@@ -657,8 +666,8 @@ def amplitude_sweep(p_base: ModelParams, r_values: list[float],
     state, and all runs step together as lanes of one integration.  A
     point whose equilibrium or run fails gets its error recorded and the
     sweep continues.  An argument that would fail every point alike (a
-    bad transient_fraction, t_end or dt, or a tau / dt that overflows)
-    raises before any step is taken.
+    bad transient_fraction, t_end or dt, or a run too long) raises before
+    any step is taken, whether or not any point has an equilibrium.
     """
     _check_transient_fraction(transient_fraction)
     outcomes: list = []   # per r: its exception, or (params, equilibrium)
@@ -671,6 +680,7 @@ def amplitude_sweep(p_base: ModelParams, r_values: list[float],
         else:
             outcomes.append((p, eq))
     lanes = [o for o in outcomes if isinstance(o, tuple)]
+    _schedule(p_base.tau, t_end, dt, max(1, len(lanes)), None)
     runs: Iterator = iter(())
     if lanes:
         m0 = np.array([[eq.m * 1.05] for _, eq in lanes])

@@ -143,11 +143,15 @@ def test_non_finite_parameter_is_a_usage_error(tmp_path, capsys, argv):
     ["sweep", "--t-end", "1e12"],
     ["sweep", "--transient-fraction", "1"],
     ["sweep", "--transient-fraction", "2"],
+    # ... also when no r of the range has an equilibrium (r < 1).
+    *(["sweep", "--r-min", "0.2", "--r-max", "0.5", "--r-steps", "2", *run]
+      for run in (["--dt", "0"], ["--t-end", "1e12"])),
 ], ids=["sweep-r-steps-0", "tau-star-j-max-neg", "tau-star-n-max-neg",
         "tau-star-n-max-huge", "verify-draws-neg", "turing-curve-reversed",
         "hopf-curve-samples-0", "hopf-curve-samples-neg", "sweep-dt-0",
         "sweep-dt-neg", "sweep-t-end-huge", "sweep-transient-fraction-1",
-        "sweep-transient-fraction-2"])
+        "sweep-transient-fraction-2", "sweep-no-equilibrium-dt-0",
+        "sweep-no-equilibrium-t-end-huge"])
 def test_count_option_out_of_range_is_a_usage_error(tmp_path, capsys, argv):
     code = _run([*argv, *BASE, "--out", str(tmp_path)])
     assert code == EXIT_USAGE

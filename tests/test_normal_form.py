@@ -187,7 +187,7 @@ def test_quadratic_projections_vanish_for_nonflat_modes():
     assert sorted(cm.e2) == [0, 2]
     assert cm.q2_term != 0.0
     for vec in (cm.w20_m1, cm.w20_0, cm.w11_m1, cm.w11_0):
-        assert np.all(np.isfinite(vec.view(float)))
+        assert np.all(np.isfinite(np.asarray(vec).view(float)))
 
 
 def test_manifold_correction_solves_rechecked_externally():
@@ -209,10 +209,10 @@ def test_manifold_correction_solves_rechecked_externally():
 
     two_iwt = 2j * REF_OMEGA * tau
     lhs = (two_iwt * np.eye(2) - generator(0, two_iwt)) @ cm.e1[0]
-    rhs = tau * weight * cm.f_hat_20
+    rhs = tau * weight * np.asarray(cm.f_hat_20)
     assert np.max(np.abs(lhs - rhs)) < 1e-10
     lhs2 = generator(0, 0.0) @ cm.e2[0]
-    rhs2 = -tau * weight * cm.f_hat_11
+    rhs2 = -tau * weight * np.asarray(cm.f_hat_11)
     assert np.max(np.abs(lhs2 - rhs2)) < 1e-10
 
 

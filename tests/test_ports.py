@@ -6,11 +6,13 @@ eigenvalues of B^-1 A in place of `scipy.linalg.eig(A, B)`, so that
 importing the package loads no scipy module; only a PDE run loads
 scipy's LAPACK.  The scipy functions stay the independent oracle here:
 the ports must give the same floats and the same indices, bit for bit,
-and the spectrum the same eigenvalues to 1e-10 relative.
+and the spectrum the same eigenvalues to 1e-10 relative.  `cli._grid`
+stands in for `numpy.linspace` the same way, bit for bit.
 
 The same fresh-interpreter probe pins the start-up contract: the package
 resolves its names lazily, and the CLI imports each layer (and numpy)
-only in the commands that use it.
+only in the commands that use it; the closed-form layers import no
+numpy at all.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from scipy.optimize import bisect
 from scipy.signal import find_peaks, peak_prominences
 
 import musselbed
+from musselbed import cli
 from musselbed import (Grid, ModelParams, delta0, hopf_points_in_r, rho0,
                        turing_curve)
 from musselbed import linear
@@ -274,7 +277,8 @@ def test_package_import_and_help_load_only_the_cli_and_model(code):
 
 def test_closed_form_commands_load_no_numpy(tmp_path):
     runs = [["classify"], ["tau-star"],
-            ["turing-curve", "--resolution", "2"]]
+            ["turing-curve", "--resolution", "2"], ["normal-form"],
+            ["hopf-curve", "--samples", "5"]]
     loaded = _modules_after(_cli_calls(runs, tmp_path), "numpy")
     assert not loaded, f"the commands loaded {loaded}"
     assert all(os.listdir(tmp_path / str(k)) for k in range(len(runs)))
@@ -297,9 +301,9 @@ def test_every_export_resolves_to_its_home_module():
     assert not hasattr(musselbed, "numpy")
 
 
-def _package_imports(path: Path) -> set[str]:
-    """The musselbed modules a source file imports, by short name,
-    whether relative or absolute."""
+def _imports(path: Path) -> set[str]:
+    """Every name a source file imports anywhere, as an absolute dotted
+    path (a relative import resolved against musselbed)."""
     names: set[str] = set()
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
@@ -308,8 +312,37 @@ def _package_imports(path: Path) -> set[str]:
             base = ".".join(filter(None, ["musselbed" if node.level else "",
                                           node.module]))
             names |= {f"{base}.{alias.name}" for alias in node.names}
-    return {name.split(".")[1] for name in names
+    return names
+
+
+def _package_imports(path: Path) -> set[str]:
+    """The musselbed modules a source file imports, by short name,
+    whether relative or absolute."""
+    return {name.split(".")[1] for name in _imports(path)
             if name.startswith("musselbed.")}
+
+
+@pytest.mark.parametrize("module", ["model", "linear", "delay",
+                                    "normal_form"])
+def test_closed_form_layers_import_no_numpy(module):
+    path = Path(musselbed.__file__).parent / f"{module}.py"
+    assert not {name for name in _imports(path)
+                if name.split(".")[0] == "numpy"}
+
+
+def test_cli_grid_is_numpy_linspace_bit_for_bit():
+    # The hopf-curve window, a decreasing range, a step that underflows
+    # to zero, then random ranges and counts.
+    rng = np.random.default_rng(22)
+    cases = [(lo, hi, n) for lo, hi in [(1.0 + 1e-9, 1.0 / 0.1 - 1e-9),
+                                        (1.8, 1.05), (0.0, 5e-323)]
+             for n in (1, 2, 3, 400)]
+    cases += [(*rng.normal(scale=10.0 ** rng.integers(-3, 4), size=2),
+               int(rng.integers(1, 60))) for _ in range(2000)]
+    for lo, hi, n in cases:
+        lo, hi = float(lo), float(hi)
+        got = np.array(cli._grid(lo, hi, n, "n"))
+        assert got.tobytes() == np.linspace(lo, hi, n).tobytes(), (lo, hi, n)
 
 
 def test_only_checks_imports_an_oracle_together_with_its_target():

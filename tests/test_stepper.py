@@ -5,6 +5,11 @@ lanes were batched: one run at a time, the two species as separate
 arrays, and a banded solve per species and step.  Both loops of the
 batched stepper, few homogeneous lanes in Python floats and every other
 run as one array, must reproduce it bit for bit, lane by lane.
+
+Bit identity cannot catch a defect that the reference shares, so the
+order of accuracy is pinned too: halving dt (or the grid spacing) must
+divide the change of a result by about 4, as a second-order method
+does.  A delay read one step off would make it about 2.
 """
 
 from __future__ import annotations
@@ -463,3 +468,48 @@ def test_non_finite_history_is_rejected():
         simulate_pde(REFERENCE, lambda x, t: (np.full_like(x, math.nan),
                                               np.ones_like(x)),
                      Grid(16), t_end=1.0, dt=0.01)
+
+
+def _difference_ratio(values: list[float]) -> float:
+    """(v0 - v1) / (v1 - v2) for results at steps h, h/2 and h/4."""
+    return (values[0] - values[1]) / (values[1] - values[2])
+
+
+STEPS = (0.02, 0.01, 0.005)
+
+
+def test_ode_period_converges_at_second_order_in_dt():
+    p = replace(REFERENCE, tau=3.6)
+    eq = positive_equilibrium(p)
+    periods = [detect_orbit(simulate_ode(p, eq.m * 1.05, eq.a, t_end=1200.0,
+                                         dt=dt, store_every=1), 0.5).period
+               for dt in STEPS]
+    assert 3.5 <= _difference_ratio(periods) <= 4.5
+
+
+def test_array_loop_converges_at_second_order_in_dt():
+    p = replace(REFERENCE, tau=3.6)
+    eq = positive_equilibrium(p)
+    lanes = _FLOAT_LANES + 1
+    ends = [_integrate([p] * lanes, lambda t: (eq.m * 1.05, eq.a), None,
+                       20.0, dt, None)[0].fields_m[-1, 0] for dt in STEPS]
+    assert 3.5 <= _difference_ratio(ends) <= 4.5
+
+
+def test_pde_mode_converges_at_second_order_in_space():
+    # The cos x amplitude of m - m* after one delay, by the trapezoidal
+    # rule on the grid's own nodes.
+    p = replace(REFERENCE, tau=1.0)
+    eq = positive_equilibrium(p)
+    amplitudes = []
+    for n in (32, 64, 128):
+        grid = Grid(n, p.l)
+        x = grid.x()
+        traj = simulate_pde(p, lambda x, t: (eq.m + 1e-6 * np.cos(x),
+                                             np.full_like(x, eq.a)),
+                            grid, t_end=1.0, dt=0.0025)
+        weights = np.full(grid.points, grid.h)
+        weights[[0, -1]] /= 2
+        amplitudes.append(float(np.sum(weights * (traj.fields_m[-1] - eq.m)
+                                       * np.cos(x))))
+    assert 3.5 <= _difference_ratio(amplitudes) <= 4.5
