@@ -13,8 +13,9 @@ A fresh process loads only what its command runs: this module imports
 `exceptions` and `model` (neither loads numpy), and each ``_cmd_*``
 handler imports its own layer, and numpy only if it uses it.  So
 ``--help``, ``classify``, ``tau-star``, ``turing-curve``, ``normal-form``
-and ``hopf-curve`` run without numpy, and only a PDE ``simulate`` loads
-scipy.
+and ``hopf-curve`` run without numpy.  Only a PDE ``simulate`` loads
+scipy, and of it only the compiled LAPACK module ``scipy.linalg._flapack``
+(see `sim._lapack`); no command imports ``scipy.linalg``.
 """
 
 from __future__ import annotations
@@ -394,11 +395,13 @@ print("wrote timeseries.png")
 def _cmd_simulate(cfg: RunConfig) -> int:
     import numpy as np
 
-    from .sim import (Grid, detect_orbit, lyapunov_value, simulate_ode,
-                      simulate_pde)
+    from .sim import (Grid, _check_transient_fraction, detect_orbit,
+                      lyapunov_value, simulate_ode, simulate_pde)
 
     p = cfg.params
     opts = cfg.options
+    # Fail before the run, not after integrating it.
+    _check_transient_fraction(opts["transient_fraction"])
     t_end, dt = opts["t_end"], opts["dt"]
     if opts["ode"]:
         m0, a0 = opts["m0"], opts["a0"]

@@ -18,8 +18,13 @@ loops make the same IEEE operations and give the same bits.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, replace
+from types import ModuleType
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -114,6 +119,34 @@ def _snap_dt(tau: float, dt_requested: float) -> tuple[float, int]:
     return tau / lag_steps, lag_steps
 
 
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _lapack() -> ModuleType:
+    """SciPy's compiled LAPACK module, without the scipy.linalg package.
+
+    `import scipy.linalg` runs the package's __init__, which loads far
+    more than the diffusion solve needs, in time and in memory; the
+    extension module alone loads in a few milliseconds.  It is found
+    under scipy's own directory and registered in sys.modules under its
+    package name, which is also the cache: a later `import scipy.linalg`
+    reuses it, so both give the very same routines.
+    """
+    module = sys.modules.get(_FLAPACK)
+    if module is not None:
+        return module
+    scipy = importlib.util.find_spec("scipy")
+    dirs = scipy.submodule_search_locations if scipy is not None else []
+    spec = importlib.machinery.PathFinder.find_spec(
+        _FLAPACK, [os.path.join(d, "linalg") for d in dirs])
+    if spec is None:
+        raise ImportError(f"cannot find {_FLAPACK}", name=_FLAPACK)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[_FLAPACK] = module
+    spec.loader.exec_module(module)
+    return module
+
+
 def _crank_factor(coefs: Sequence[float], nx: int, h: float
                   ) -> tuple[np.ndarray, ...]:
     """LU factors of the block-diagonal matrix of the implicit half step.
@@ -123,8 +156,6 @@ def _crank_factor(coefs: Sequence[float], nx: int, h: float
     zeros across a block boundary, so each block factors, and with
     finite right-hand sides solves, exactly as it would alone.
     """
-    from scipy.linalg.lapack import dgttrf  # loaded only when a PDE runs
-
     inv_h2 = 1.0 / (h * h)
     c = np.asarray(coefs, dtype=float)[:, None]
     # Column j of a block's row holds its sub- and super-diagonal entry j;
@@ -134,8 +165,8 @@ def _crank_factor(coefs: Sequence[float], nx: int, h: float
     upper[:, :1] = lower[:, -2:-1] = -2.0 * c * inv_h2
     upper[:, -1] = lower[:, -1] = 0.0
     diag = np.repeat(1.0 + 2.0 * c * inv_h2, nx, axis=1)
-    *factors, info = dgttrf(lower.ravel()[:-1], diag.ravel(),
-                            upper.ravel()[:-1])
+    *factors, info = _lapack().dgttrf(lower.ravel()[:-1], diag.ravel(),
+                                      upper.ravel()[:-1])
     if info != 0:
         raise NumericalError(f"diffusion matrix factorization failed "
                              f"(info {info})")
@@ -367,8 +398,7 @@ def _step_arrays(lanes: Sequence[ModelParams], hist: np.ndarray,
     eff, half, ma = np.empty_like(y), np.empty_like(y), np.empty_like(m)
 
     if grid is not None:
-        from scipy.linalg.lapack import dgttrs  # loaded only when a PDE runs
-
+        dgttrs = _lapack().dgttrs
         nx, h2 = grid.points, grid.h * grid.h
         coefs = (0.5 * dt * p.d, 0.5 * dt / p.gamma)
         coef = np.array(coefs)[:, None, None]

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from musselbed import (Grid, ModelParams, NumericalError,
                        positive_equilibrium, simulate_pde)
 import musselbed
-from musselbed import checks, cli
+from musselbed import checks, cli, sim
 from musselbed.cli import (EXIT_HYPOTHESIS, EXIT_IO, EXIT_NUMERICAL,
                            EXIT_OK, EXIT_USAGE, main)
 
@@ -143,6 +143,8 @@ def test_non_finite_parameter_is_a_usage_error(tmp_path, capsys, argv):
     ["sweep", "--t-end", "1e12"],
     ["sweep", "--transient-fraction", "1"],
     ["sweep", "--transient-fraction", "2"],
+    ["simulate", "--transient-fraction", "1"],
+    ["simulate", "--transient-fraction", "-0.5"],
     # ... also when no r of the range has an equilibrium (r < 1).
     *(["sweep", "--r-min", "0.2", "--r-max", "0.5", "--r-steps", "2", *run]
       for run in (["--dt", "0"], ["--t-end", "1e12"])),
@@ -150,7 +152,8 @@ def test_non_finite_parameter_is_a_usage_error(tmp_path, capsys, argv):
         "tau-star-n-max-huge", "verify-draws-neg", "turing-curve-reversed",
         "hopf-curve-samples-0", "hopf-curve-samples-neg", "sweep-dt-0",
         "sweep-dt-neg", "sweep-t-end-huge", "sweep-transient-fraction-1",
-        "sweep-transient-fraction-2", "sweep-no-equilibrium-dt-0",
+        "sweep-transient-fraction-2", "simulate-transient-fraction-1",
+        "simulate-transient-fraction-neg", "sweep-no-equilibrium-dt-0",
         "sweep-no-equilibrium-t-end-huge"])
 def test_count_option_out_of_range_is_a_usage_error(tmp_path, capsys, argv):
     code = _run([*argv, *BASE, "--out", str(tmp_path)])
@@ -160,6 +163,21 @@ def test_count_option_out_of_range_is_a_usage_error(tmp_path, capsys, argv):
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
     assert os.listdir(tmp_path) == []
+
+
+def test_simulate_rejects_a_bad_transient_fraction_before_integrating(
+        tmp_path, capsys, monkeypatch):
+    def integrate(*args, **kwargs):
+        raise AssertionError("simulate integrated before checking its options")
+
+    monkeypatch.setattr(sim, "_integrate", integrate)
+    for run in ([], ["--ode"]):
+        code = _run(["simulate", *BASE, *run, "--transient-fraction", "1",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: transient fraction must lie in [0, 1)\n")
+        assert os.listdir(tmp_path) == []
 
 
 def test_out_of_memory_is_a_usage_error(tmp_path, capsys, monkeypatch):

@@ -3,8 +3,10 @@
 `linear._bisect` and `sim._find_peaks` stand in for `scipy.optimize.bisect`
 and `scipy.signal.find_peaks`, and `verify.discrete_spectrum` takes numpy
 eigenvalues of B^-1 A in place of `scipy.linalg.eig(A, B)`, so that
-importing the package loads no scipy module; only a PDE run loads
-scipy's LAPACK.  The scipy functions stay the independent oracle here:
+importing the package loads no scipy module.  A PDE run loads scipy's
+compiled LAPACK module from its file (`sim._lapack`), and no other scipy
+module: the same routines, and so the same bits, as `scipy.linalg.lapack`.
+The scipy functions stay the independent oracle here:
 the ports must give the same floats and the same indices, bit for bit,
 and the spectrum the same eigenvalues to 1e-10 relative.  `cli._grid`
 stands in for `numpy.linspace` the same way, bit for bit.
@@ -31,7 +33,7 @@ from scipy.optimize import bisect
 from scipy.signal import find_peaks, peak_prominences
 
 import musselbed
-from musselbed import cli
+from musselbed import cli, sim
 from musselbed import (Grid, ModelParams, delta0, hopf_points_in_r, rho0,
                        turing_curve)
 from musselbed import linear
@@ -261,6 +263,45 @@ def test_analysis_and_ode_commands_load_no_scipy(tmp_path):
     loaded = _modules_after(_cli_calls(runs, tmp_path), "scipy")
     assert not loaded, f"the commands loaded {loaded}"
     assert all(os.listdir(tmp_path / str(k)) for k in range(len(runs)))
+
+
+def test_pde_simulate_loads_only_scipys_compiled_lapack(tmp_path):
+    runs = [["simulate", "--tau", "3.6", "--t-end", "5", "--dt", "0.05",
+             "--grid-n", "16"]]
+    loaded = _modules_after(_cli_calls(runs, tmp_path), "scipy")
+    assert loaded == ["scipy.linalg._flapack"]
+    assert os.listdir(tmp_path / "0")
+
+
+# One PDE run, as code for a fresh interpreter and for this one.
+_PDE_RUN = """
+from musselbed import Grid, ModelParams, cli, simulate_pde
+p = ModelParams(r=2.0, alpha=0.1, gamma=0.5, tau=3.6)
+traj = simulate_pde(p, cli._history_factory(p, 0.1, 2), Grid(32, p.l),
+                    t_end=10.0, dt=0.05)
+fields = traj.fields_m.tobytes() + traj.fields_a.tobytes()
+"""
+
+
+def test_lapack_loaded_from_its_file_gives_the_bits_of_scipy_linalg(
+        tmp_path):
+    path = tmp_path / "fields.bin"
+    code = _PDE_RUN + f"open({str(path)!r}, 'wb').write(fields)"
+    assert _modules_after(code, "scipy") == ["scipy.linalg._flapack"]
+    here: dict = {}
+    exec(_PDE_RUN, here)   # this process has imported scipy.linalg
+    assert path.read_bytes() == here["fields"]
+
+
+def test_lapack_is_the_module_of_scipy_linalg_in_either_load_order():
+    code = ("from musselbed import sim\n"
+            "flapack = sim._lapack()\n"
+            "import scipy.linalg.lapack as lapack\n"
+            "assert lapack.dgttrf is flapack.dgttrf\n"
+            "assert lapack.dgttrs is flapack.dgttrs\n")
+    assert "scipy.linalg" in _modules_after(code, "scipy")
+    assert sim._lapack().dgttrf is scipy.linalg.lapack.dgttrf
+    assert sim._lapack().dgttrs is scipy.linalg.lapack.dgttrs
 
 
 @pytest.mark.parametrize("code", [
