@@ -108,9 +108,20 @@ def _write_json(out_dir: str, name: str, payload: Any) -> None:
 
 def _write_csv(out_dir: str, name: str, header: list[str],
                rows: Iterable[Iterable[Any]]) -> None:
+    """Write the header and rows as CSV.  Each row is formatted by one %
+    with a template cached per tuple of cell types: "%.12g" (the text of
+    _fmt) for a float, "%s" (str) for any other cell."""
+    templates: dict[tuple[type, ...], str] = {}
     lines = [",".join(header)]
-    lines += [",".join([_fmt(cell) if isinstance(cell, float) else str(cell)
-                        for cell in row]) for row in rows]
+    for row in rows:
+        row = tuple(row)
+        kinds = tuple(map(type, row))
+        template = templates.get(kinds)
+        if template is None:
+            template = templates[kinds] = ",".join(
+                ["%.12g" if issubclass(kind, float) else "%s"
+                 for kind in kinds])
+        lines.append(template % row)
     _write_text(out_dir, name, "\n".join(lines) + "\n")
 
 

@@ -19,9 +19,11 @@ from .exceptions import HypothesisError, NumericalError
 from .model import (
     ModelParams,
     check_hypotheses,
+    coexistence_state,
+    delayed_self_term,
     hopf_margin,
     positive_equilibrium,
-    zero_mode_determinant,
+    zero_mode_det,
 )
 
 # Number of initial subdivisions for sign-scans before bisection; the scanned
@@ -121,7 +123,10 @@ def _scan_roots(f: Callable[[float], float], lo: float,
                 hi: float) -> list[float]:
     """Roots of f on [lo, hi], in increasing order, from a sign-scan of
     _SCAN_POINTS cells: every grid point where f is exactly zero, and the
-    bisected root of every cell whose end values have opposite signs."""
+    bisected root of every cell whose end values have opposite signs.
+    Signs are compared, as in _bisect, where the product of the end values
+    is not positive: two tiny values of opposite sign can have a product
+    that underflows to zero.  Any other cell costs one product."""
     step = (hi - lo) / _SCAN_POINTS
     roots: list[float] = []
     prev_x, prev_f = lo, f(lo)
@@ -130,7 +135,7 @@ def _scan_roots(f: Callable[[float], float], lo: float,
         fx = f(x)
         if prev_f == 0.0:
             roots.append(prev_x)
-        elif prev_f * fx < 0.0:
+        elif prev_f * fx <= 0.0 and fx != 0.0 and (fx > 0.0) != (prev_f > 0.0):
             roots.append(_bisect(f, prev_x, x, xtol=1e-12))
         prev_x, prev_f = x, fx
     if prev_f == 0.0:
@@ -141,7 +146,7 @@ def _scan_roots(f: Callable[[float], float], lo: float,
 def char_coeffs_no_delay(p: ModelParams, n: int) -> SpectralCoeffsNoDelay:
     """Quadratic coefficients of mode n for the delay-free linearization."""
     eq = positive_equilibrium(p)
-    g, d0 = _detcoeffs(p)
+    g, d0 = _detcoeffs(p.alpha, p.r, p.d)
     ksq = p.wavenumber_sq(n)
     t_tilde = (p.alpha + eq.m + (1.0 + p.gamma * p.d) * ksq
                - p.gamma * eq.delayed_self)
@@ -208,11 +213,14 @@ def hopf_points_in_r(alpha: float, gamma: float) -> list[RHopfPoint]:
             if abs(root - rs) > 1e-9]
 
 
-def _detcoeffs(p: ModelParams) -> tuple[float, float]:
-    """(g, d_tilde_0): slope and intercept of the determinant in k^2."""
-    eq = positive_equilibrium(p)
-    g = p.d * (p.alpha + eq.m) - eq.delayed_self
-    return g, zero_mode_determinant(p, eq)
+def _detcoeffs(alpha: float, r: float, d: float) -> tuple[float, float]:
+    """(g, d_tilde_0): slope and intercept of the determinant in k^2.
+
+    Works on plain floats, so a scan builds no ModelParams per point; d is
+    the caller's to validate.  Raises HypothesisError outside h1.
+    """
+    m, a = coexistence_state(alpha, r)
+    return d * (alpha + m) - delayed_self_term(m), zero_mode_det(alpha, r, a)
 
 
 def turing_analysis(p: ModelParams, strict: bool = True) -> TuringReport:
@@ -230,7 +238,7 @@ def turing_analysis(p: ModelParams, strict: bool = True) -> TuringReport:
     report = check_hypotheses(p)
     if not report.h1:
         raise HypothesisError("turing_analysis requires the coexistence state (h1)")
-    g, d0 = _detcoeffs(p)
+    g, d0 = _detcoeffs(p.alpha, p.r, p.d)
     disc = g * g - 4.0 * p.d * d0
     kc_sq: Optional[float] = None
     if g < 0.0:
@@ -302,18 +310,19 @@ def turing_curve(alpha_range: tuple[float, float], d: float,
         raise ValueError(f"alpha range must not decrease, got {alpha_range!r}")
     if resolution < 1:
         raise ValueError("resolution must be at least 1")
+    ModelParams(r=1.0, alpha=lo, gamma=1.0, d=d)  # a bad d raises here
 
     points: list[TuringCurvePoint] = []
     for i in range(resolution):
         alpha = lo if resolution == 1 else lo + (hi - lo) * i / (resolution - 1)
 
         def disc(r: float) -> float:
-            g, d0 = _detcoeffs(ModelParams(r=r, alpha=alpha, gamma=1.0, d=d))
+            g, d0 = _detcoeffs(alpha, r, d)
             return g * g - 4.0 * d * d0
 
         branch = 0
         for root in _scan_roots(disc, 1.0 + _EDGE, 1.0 / alpha - _EDGE):
-            g, d0 = _detcoeffs(ModelParams(r=root, alpha=alpha, gamma=1.0, d=d))
+            g, d0 = _detcoeffs(alpha, root, d)
             if g >= 0.0:
                 continue
             kc_sq = -g / (2.0 * d)

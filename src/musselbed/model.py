@@ -66,7 +66,7 @@ class Equilibrium:
     @property
     def delayed_self(self) -> float:
         """m/(1+m)^2, the derivative of dm/dt in the delayed m."""
-        return self.m / (1.0 + self.m) ** 2
+        return delayed_self_term(self.m)
 
 
 @dataclass(frozen=True)
@@ -98,25 +98,40 @@ def reaction_rhs(m_now, a_now, m_delayed, a_delayed, p: ModelParams):
     return dm, da
 
 
-def hypothesis_h1(p: ModelParams) -> bool:
+def h1_holds(alpha: float, r: float) -> bool:
     """True iff 0 < alpha < 1 < r < 1/alpha (strict, exact comparisons)."""
-    return 0.0 < p.alpha < 1.0 < p.r < 1.0 / p.alpha
+    return 0.0 < alpha < 1.0 < r < 1.0 / alpha
+
+
+def hypothesis_h1(p: ModelParams) -> bool:
+    """h1_holds at the parameter point: the coexistence state exists."""
+    return h1_holds(p.alpha, p.r)
+
+
+def coexistence_state(alpha: float, r: float) -> tuple[float, float]:
+    """(m*, a*) of the coexistence state, from plain floats.
+
+    m* = alpha*(r - 1)/(1 - alpha*r) and a* = (1 - alpha*r)/(r*(1 - alpha));
+    both components are strictly positive exactly when h1 holds, and a
+    HypothesisError is raised when it does not.
+    """
+    if not h1_holds(alpha, r):
+        raise HypothesisError(
+            "no positive equilibrium: need 0 < alpha < 1 < r < 1/alpha, "
+            f"got alpha={alpha!r}, r={r!r}"
+        )
+    return (alpha * (r - 1.0) / (1.0 - alpha * r),
+            (1.0 - alpha * r) / (r * (1.0 - alpha)))
 
 
 def positive_equilibrium(p: ModelParams) -> Equilibrium:
-    """The coexistence steady state (m*, a*).
+    """The coexistence steady state (m*, a*); see coexistence_state."""
+    return Equilibrium(*coexistence_state(p.alpha, p.r))
 
-    m* = alpha*(r - 1)/(1 - alpha*r) and a* = (1 - alpha*r)/(r*(1 - alpha));
-    both components are strictly positive exactly when hypothesis_h1 holds.
-    """
-    if not hypothesis_h1(p):
-        raise HypothesisError(
-            "no positive equilibrium: need 0 < alpha < 1 < r < 1/alpha, "
-            f"got alpha={p.alpha!r}, r={p.r!r}"
-        )
-    m_star = p.alpha * (p.r - 1.0) / (1.0 - p.alpha * p.r)
-    a_star = (1.0 - p.alpha * p.r) / (p.r * (1.0 - p.alpha))
-    return Equilibrium(m_star, a_star)
+
+def delayed_self_term(m: float) -> float:
+    """m/(1+m)^2 at the mussel level m."""
+    return m / (1.0 + m) ** 2
 
 
 def delta0(p: ModelParams) -> float:
@@ -136,9 +151,14 @@ def hopf_margin(p: ModelParams) -> float:
     return delta0(p) ** 2 - rho0(p)
 
 
+def zero_mode_det(alpha: float, r: float, a: float) -> float:
+    """alpha*r*(r - 1)*a, from plain floats; a is the algae level a*."""
+    return alpha * r * (r - 1.0) * a
+
+
 def zero_mode_determinant(p: ModelParams, eq: Equilibrium) -> float:
     """alpha*r*(r - 1)*a*, gamma times the kinetic Jacobian's determinant."""
-    return p.alpha * p.r * (p.r - 1.0) * eq.a
+    return zero_mode_det(p.alpha, p.r, eq.a)
 
 
 def check_hypotheses(p: ModelParams) -> HypothesisReport:

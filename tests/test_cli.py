@@ -281,6 +281,21 @@ def test_repeated_runs_are_byte_identical(tmp_path):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+def test_csv_rows_format_each_cell_by_the_per_cell_rule(tmp_path):
+    # Floats print as f"{x:.12g}"; every other cell, bool and numpy scalar
+    # types included, prints as str(x).
+    special = [-0.0, math.inf, -math.inf, math.nan, 1e16, 5e-324,
+               2.2250738585072014e-308, 0.1, 1.0 / 3.0, np.float64(2.0 / 3.0)]
+    rows = [special[:4], special[4:8], [special[8], special[9], 1, True],
+            [False, "", "text", np.int64(7)], [0, None, 1e-5, -2.5e300]]
+    rows += rows
+    cli._write_csv(str(tmp_path), "mixed.csv", ["a", "b", "c", "d"], rows)
+    want = ["a,b,c,d"] + [
+        ",".join(f"{x:.12g}" if isinstance(x, float) else str(x) for x in row)
+        for row in rows]
+    assert (tmp_path / "mixed.csv").read_text() == "\n".join(want) + "\n"
+
+
 def test_simulate_fields_hold_every_point_of_every_strided_frame(tmp_path):
     code = _run(["simulate", *BASE, "--tau", "1", "--grid-n", "16", "--dt",
                  "0.05", "--t-end", "31", "--out", str(tmp_path)])

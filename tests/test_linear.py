@@ -7,6 +7,7 @@ against a brute-force scan of the mode determinant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -15,8 +16,8 @@ import pytest
 from musselbed import (HypothesisError, ModelParams, boundary_stability,
                        char_coeffs_no_delay, eigenvalues_no_delay,
                        hopf_points_in_r, positive_equilibrium, r_star,
-                       turing_analysis, turing_curve)
-from musselbed.linear import _SCAN_POINTS, _scan_roots
+                       TuringCurvePoint, turing_analysis, turing_curve)
+from musselbed.linear import _EDGE, _SCAN_POINTS, _detcoeffs, _scan_roots
 
 
 def _seeded_admissible_params(count: int, seed: int = 1523):
@@ -151,6 +152,16 @@ def test_sign_scan_counts_each_exact_grid_zero_once():
     assert root == pytest.approx(x0 + 0.5 * step, abs=1e-12)
 
 
+def test_sign_scan_finds_a_root_whose_end_value_product_underflows():
+    # At 1e-170 the two end values of the root's cell are ~1e-174 and
+    # their product underflows to zero; the root is the same as at 1e-100.
+    c = 1.23456789
+    roots = _scan_roots(lambda x: (x - c) * 1e-100, 1.0, 2.0)
+    assert _scan_roots(lambda x: (x - c) * 1e-170, 1.0, 2.0) == roots
+    (root,) = roots
+    assert root == pytest.approx(c, abs=1e-12)
+
+
 def test_band_verdict_matches_brute_force_scan():
     # Independent oracle: evaluate the mode determinant on a dense grid of
     # squared wave numbers and compare the sign of its minimum.
@@ -195,6 +206,80 @@ def test_pattern_onset_curve_validates_inputs():
         turing_curve((0.5, 1.5), 0.01)
     with pytest.raises(ValueError):
         turing_curve((0.1, 0.6), 0.01, resolution=0)
+
+
+def _per_point_turing_curve(alpha_range, d, resolution):
+    """turing_curve with a validated ModelParams per scan point and the
+    band coefficients written out from the model's closed forms: the
+    reference that the float scan must equal bit for bit."""
+    def coeffs(p):
+        if not 0.0 < p.alpha < 1.0 < p.r < 1.0 / p.alpha:
+            raise HypothesisError(f"outside h1 at r={p.r!r}")
+        m = p.alpha * (p.r - 1.0) / (1.0 - p.alpha * p.r)
+        a = (1.0 - p.alpha * p.r) / (p.r * (1.0 - p.alpha))
+        g = p.d * (p.alpha + m) - m / (1.0 + m) ** 2
+        return g, p.alpha * p.r * (p.r - 1.0) * a
+
+    lo, hi = alpha_range
+    points = []
+    for i in range(resolution):
+        alpha = lo if resolution == 1 else lo + (hi - lo) * i / (resolution - 1)
+
+        def disc(r):
+            g, d0 = coeffs(ModelParams(r=r, alpha=alpha, gamma=1.0, d=d))
+            return g * g - 4.0 * d * d0
+
+        branch = 0
+        for root in _scan_roots(disc, 1.0 + _EDGE, 1.0 / alpha - _EDGE):
+            g, _ = coeffs(ModelParams(r=root, alpha=alpha, gamma=1.0, d=d))
+            if g < 0.0:
+                points.append(TuringCurvePoint(alpha, root, branch))
+                branch += 1
+    return points
+
+
+@pytest.mark.parametrize("alpha_range, d, resolution", [
+    ((0.05, 0.95), 0.01, 50), ((0.05, 0.95), 0.05, 50),
+    ((0.1, 0.6), 0.01, 2), ((0.1, 0.6), 0.01, 12),
+    ((0.3, 0.3), 0.01, 1), ((0.3, 0.3), 0.01, 3)])
+def test_pattern_onset_curve_equals_the_per_point_params_scan(
+        alpha_range, d, resolution):
+    def bits(points):
+        return [(pt.alpha.hex(), pt.r.hex(), pt.branch) for pt in points]
+
+    expected = bits(_per_point_turing_curve(alpha_range, d, resolution))
+    assert expected
+    assert bits(turing_curve(alpha_range, d, resolution)) == expected
+
+
+def test_pattern_onset_curve_builds_no_params_per_scan_point(monkeypatch):
+    built = []
+    check = ModelParams.__post_init__
+
+    def spy(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(ModelParams, "__post_init__", spy)
+    assert turing_curve((0.05, 0.95), 0.01, 50)
+    assert len(built) <= 1
+
+
+@pytest.mark.parametrize("d", [0.0, -1.0, math.nan, math.inf])
+def test_pattern_onset_curve_rejects_a_bad_diffusivity_ratio(d):
+    with pytest.raises(ValueError) as err:
+        turing_curve((0.1, 0.6), d, resolution=3)
+    assert str(err.value) == \
+        f"d must be finite and strictly positive, got {d!r}"
+
+
+@pytest.mark.parametrize("alpha, r", [(0.5, 2.0), (0.4, 0.9), (0.2, 5.0)])
+def test_band_coefficients_of_floats_reject_a_point_outside_h1(alpha, r):
+    with pytest.raises(HypothesisError) as want:
+        positive_equilibrium(ModelParams(r=r, alpha=alpha, gamma=1.0, d=0.01))
+    with pytest.raises(HypothesisError) as got:
+        _detcoeffs(alpha, r, 0.01)
+    assert str(got.value) == str(want.value)
 
 
 def test_strict_band_analysis_rejects_oscillatory_base_state():
