@@ -143,6 +143,22 @@ def _scan_roots(f: Callable[[float], float], lo: float,
     return roots
 
 
+def _r_window(alpha: float) -> tuple[float, float]:
+    """The ends (lo, hi) of a scan in r over (1, 1/alpha), each _EDGE inside.
+
+    Once half an ulp of 1/alpha passes _EDGE (1/alpha at or above 2**24),
+    1/alpha - _EDGE rounds back to 1/alpha, outside h1; hi is then the
+    largest float below 1/alpha, lowered further while the scan's last
+    point, lo + _SCAN_POINTS * step, would round up to 1/alpha.  Where the
+    scan stays inside without it, hi is 1/alpha - _EDGE as before.
+    """
+    top = 1.0 / alpha
+    lo, hi = 1.0 + _EDGE, min(top - _EDGE, math.nextafter(top, 0.0))
+    while lo + _SCAN_POINTS * ((hi - lo) / _SCAN_POINTS) >= top:
+        hi = math.nextafter(hi, 0.0)
+    return lo, hi
+
+
 def char_coeffs_no_delay(p: ModelParams, n: int) -> SpectralCoeffsNoDelay:
     """Quadratic coefficients of mode n for the delay-free linearization."""
     eq = positive_equilibrium(p)
@@ -209,7 +225,7 @@ def hopf_points_in_r(alpha: float, gamma: float) -> list[RHopfPoint]:
 
     rs = r_star(alpha)
     return [RHopfPoint(root, 1 if root < rs else -1)
-            for root in _scan_roots(margin, 1.0 + _EDGE, 1.0 / alpha - _EDGE)
+            for root in _scan_roots(margin, *_r_window(alpha))
             if abs(root - rs) > 1e-9]
 
 
@@ -321,7 +337,7 @@ def turing_curve(alpha_range: tuple[float, float], d: float,
             return g * g - 4.0 * d * d0
 
         branch = 0
-        for root in _scan_roots(disc, 1.0 + _EDGE, 1.0 / alpha - _EDGE):
+        for root in _scan_roots(disc, *_r_window(alpha)):
             g, d0 = _detcoeffs(alpha, root, d)
             if g >= 0.0:
                 continue

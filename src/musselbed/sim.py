@@ -10,10 +10,12 @@ are lanes of one integration.  A PDE run, or a homogeneous run of more
 than _FLOAT_LANES lanes, steps its lanes together as one state array,
 with one tridiagonal solve per step for every species and lane (a
 block-diagonal matrix factored once per run) and the delayed kinetic
-factor computed once per pass over the ring; a homogeneous run of at
-most _FLOAT_LANES lanes steps each lane on its own in Python floats,
-which carry a state of two numbers faster than numpy calls do.  Both
-loops make the same IEEE operations and give the same bits.
+factor computed once per pass over the ring; each of its numpy calls
+takes operands of one shape, mostly contiguous, with every scalar held
+as an array made once per run.  A homogeneous run of at most
+_FLOAT_LANES lanes steps each lane on its own in Python floats, which
+carry a state of two numbers faster than numpy calls do.  Both loops
+make the same IEEE operations and give the same bits.
 """
 
 from __future__ import annotations
@@ -43,12 +45,16 @@ _MAX_STORED_BYTES = 2 * 2**30
 # Most time steps one run may take.
 _MAX_STEPS = 10**7
 # Most lanes of a homogeneous run stepped one by one in Python floats; a
-# wider run steps as one array.  A float lane takes ~0.4-0.6 µs per step
-# at tau = 0 and ~0.6-1 µs with a delay ring; the array loop takes
-# ~14-21 µs per step at tau = 0 and ~9-14 µs with a ring, at nearly any
-# width (2 shared Xeon cores, Python 3.11, numpy 2.4).  The array loop
-# wins from about 32-40 lanes at tau = 0 but from about 16-24 with a
-# ring, so a wider float loop would slow delayed runs.
+# wider run steps as one array.  On a quiet machine a float lane takes
+# ~0.4-0.6 µs per step at tau = 0 and ~0.6-1 µs with a delay ring; the
+# array loop takes ~14-21 µs per step at tau = 0 and ~9-14 µs with a
+# ring, at nearly any width (2 shared Xeon cores, Python 3.11, numpy
+# 2.4), so it wins from about 32-40 lanes at tau = 0 but from about 16-24
+# with a ring, and a wider float loop would slow delayed runs.  On a busy
+# one a float lane takes ~1.1-1.5 µs and the array loop ~14-15 µs at
+# tau = 0 and ~11-12 µs with a ring: they cross at ~10-16 lanes.  The
+# array loop's one-shape operands did not move the crossover measurably:
+# a homogeneous row is one point wide.
 _FLOAT_LANES = 16
 # Most values of one temporary array: a window of the array loop's
 # delayed factor, or a block of frames in the orbit detector.
@@ -357,23 +363,33 @@ def _step_arrays(lanes: Sequence[ModelParams], hist: np.ndarray,
     run; the frames of a tripped lane are never read.  Each numpy call
     works on every lane and grid point, and each element goes through the
     IEEE operations of model.reaction_rhs and of a solve per species, in
-    their order, so the bits are theirs.  Per step:
+    their order, so the bits are theirs.  Each call takes operands of one
+    shape: every scalar of a step (1, alpha and gamma in the algae rate,
+    the Adams-Bashforth weights 1.5 and 0.5 and dt, each species'
+    diffusion coefficient, r and 1 in the delayed factor) is an array of
+    the very same values, made once per run.  Per step:
 
     - dm/dt is m times the delayed factor r*a(t - tau) - 1/(1 + m(t -
       tau)), which is computed for the whole ring (or, for a long ring,
       a window of _WINDOW_VALUES values) at once.
-    - On a grid, the Laplacian is written into a buffer kept for the run,
-      and one tridiagonal solve of the state in its memory order takes
-      the implicit half step of every species and lane: its matrix has a
+    - On a grid, the Laplacian is written into a buffer kept for the run.
+      Its interior stencil runs over the flat state, one contiguous call
+      per operation for all rows, with 2f as f + f; the mirror ends are
+      then written over what it left at each row's ends, and the closure's
+      doubling is in the divisor, h^2/2 at the ends and h^2 inside.  One
+      tridiagonal solve of the state in its memory order takes the
+      implicit half step of every species and lane: its matrix has a
       block per species and lane (_crank_factor), factored once per run.
     - The rates of this step and of the last live in two buffers that
       swap each step; they, the Adams-Bashforth sum and the kinetic
       temporaries are allocated once per run, and written with out=.
-    - The guard check takes the minimum and the maximum of the whole
-      state; when some value passes the least algae bound, the maximum
-      of each species (m against the blow-up level, a against that
-      bound), then of each row only when that fails too, and each row's
-      minimum only when it trips.
+    - The guard check takes one maximum of the state's bit patterns read
+      as unsigned integers, which passes every state in [+0, the least
+      algae bound] with no NaN.  Only when that fails does it take the
+      minimum and the maximum of the whole state; when some value passes
+      the least algae bound, the maximum of each species (m against the
+      blow-up level, a against that bound), then of each row only when
+      that fails too, and each row's minimum only when it trips.
     """
     p = lanes[0]
     n_lanes = len(lanes)
@@ -381,16 +397,28 @@ def _step_arrays(lanes: Sequence[ModelParams], hist: np.ndarray,
     # Updated in place, so every view below stays valid for the run.
     y = hist[0].copy()
     m, a = y
-    r = np.array([[q.r] for q in lanes])
     # Each row's ceilings (blow-up for m, the algae bound for a); a state
     # no higher than the least of them passes them all.
     limits = np.array([[_BLOWUP] * n_lanes, a_bound])
     ceiling = min(a_bound)
+    # Read as unsigned integers, the bit patterns of +0 up to ceiling are
+    # exactly those no higher than ceiling's: a set sign bit (any negative
+    # value, -0.0 too) or a NaN reads higher.
+    bits, ceiling_bits = y.view(np.uint64), np.float64(ceiling).view(np.uint64)
     errors: list[Optional[NumericalError]] = [None] * n_lanes
     # Ring slots per window of the delayed factor: the whole ring but for
     # a long one, whose copy could outgrow the storage limit.
     span = max(1, min(slots, _WINDOW_VALUES // y[0].size))
     growths, recips = np.empty((2, span, *m.shape))
+    # Each scalar of a step as an array of its operand's shape, made once
+    # per run: a call on operands of one shape is the cheapest numpy makes,
+    # and every element meets the very value the scalar held.
+    r = np.empty_like(growths)
+    r[...] = np.array([q.r for q in lanes])[:, None]
+    ones = np.ones_like(growths)
+    one = ones[0]
+    alpha, gamma = (np.full_like(m, c) for c in (p.alpha, p.gamma))
+    c_now, c_last, c_dt = (np.full_like(y, c) for c in (1.5, 0.5, dt))
     # This step's rates and the last step's, each with its two rows as
     # views; they swap every step.
     now, last = ((rates, *rates) for rates in (np.empty_like(y),
@@ -401,12 +429,22 @@ def _step_arrays(lanes: Sequence[ModelParams], hist: np.ndarray,
         dgttrs = _lapack().dgttrs
         nx, h2 = grid.points, grid.h * grid.h
         coefs = (0.5 * dt * p.d, 0.5 * dt / p.gamma)
-        coef = np.array(coefs)[:, None, None]
+        coef = np.empty_like(y)
+        coef[...] = np.array(coefs)[:, None, None]
+        # h^2 inside and h^2/2 at both ends, which takes the mirror
+        # closure's doubling: h^2/2 is exact, so x/(h^2/2) is (2x)/h^2
+        # exactly unless 2x overflows, which no state the guards have
+        # passed comes near.
+        divisor = np.full_like(y, h2)
+        divisor[..., ::nx - 1] = 0.5 * h2
         factors = _crank_factor(np.repeat(coefs, n_lanes), nx, grid.h)
-        column = y.reshape(-1, 1)
+        column, flat = y.reshape(-1, 1), y.reshape(-1)
         lap = np.empty_like(y)
-        lap_mid, lap_ends = lap[..., 1:-1], lap[..., ::nx - 1]
-        y_left, y_mid, y_right = y[..., :-2], y[..., 1:-1], y[..., 2:]
+        # The interior stencil runs over the flat state, every row at once;
+        # what it writes across a row boundary lands on a row's end, which
+        # the end formula then overwrites.
+        lap_mid, lap_ends = lap.reshape(-1)[1:-1], lap[..., ::nx - 1]
+        f_left, f_mid, f_right = flat[:-2], flat[1:-1], flat[2:]
         # Both ends at once: f[0] and f[-1], then f[1] and f[-2].
         y_ends, y_next = y[..., ::nx - 1], y[..., 1::nx - 3]
 
@@ -421,35 +459,35 @@ def _step_arrays(lanes: Sequence[ModelParams], hist: np.ndarray,
             # A new window from slot k: no slot of a window changes
             # before the window's steps have read it.
             first, end = k, min(slots, k - k % span + span)
-            growth, recip = growths[:end - first], recips[:end - first]
-            np.multiply(r, hist[first:end, 1], out=growth)
-            np.add(1.0, hist[first:end, 0], out=recip)
-            np.divide(1.0, recip, out=recip)
+            width = end - first
+            growth, recip = growths[:width], recips[:width]
+            np.multiply(r[:width], hist[first:end, 1], out=growth)
+            np.add(ones[:width], hist[first:end, 0], out=recip)
+            np.divide(ones[:width], recip, out=recip)
             growth -= recip
         (rate, rate_m, rate_a), prev = now, last[0]
         np.multiply(m, growth[k - first], out=rate_m)
         # (alpha * (1 - a) - m * a) / gamma
-        np.subtract(1.0, a, out=rate_a)
-        rate_a *= p.alpha
+        np.subtract(one, a, out=rate_a)
+        rate_a *= alpha
         np.multiply(m, a, out=ma)
         rate_a -= ma
-        rate_a /= p.gamma
+        rate_a /= gamma
         if i == 0:
             prev[...] = rate
-        np.multiply(rate, 1.5, out=eff)
-        np.multiply(prev, 0.5, out=half)
+        np.multiply(rate, c_now, out=eff)
+        np.multiply(prev, c_last, out=half)
         eff -= half
-        eff *= dt
+        eff *= c_dt
         now, last = last, now
         if grid is not None:
-            # coef * (((f[i-1] - 2 f[i]) + f[i+1]) / h^2), with the mirror
-            # closure 2 (f[1] - f[0]) at both ends.
-            np.multiply(y_mid, 2.0, out=lap_mid)
-            np.subtract(y_left, lap_mid, out=lap_mid)
-            np.add(lap_mid, y_right, out=lap_mid)
+            # coef * (((f[i-1] - (f[i] + f[i])) + f[i+1]) / h^2), with the
+            # mirror closure (f[1] - f[0]) / (h^2/2) at both ends.
+            np.add(f_mid, f_mid, out=lap_mid)
+            np.subtract(f_left, lap_mid, out=lap_mid)
+            np.add(lap_mid, f_right, out=lap_mid)
             np.subtract(y_next, y_ends, out=lap_ends)
-            lap_ends *= 2.0
-            lap /= h2
+            lap /= divisor
             lap *= coef
             y += lap
         y += eff
@@ -458,10 +496,11 @@ def _step_arrays(lanes: Sequence[ModelParams], hist: np.ndarray,
             if info != 0:
                 raise NumericalError(f"diffusion solve failed (info {info})")
 
-        if not (y.min() >= _NEGATIVITY
-                and (y.max() <= ceiling
-                     or (m.max() <= _BLOWUP and a.max() <= ceiling)
-                     or (y.max(axis=-1) <= limits).all())):
+        if not (bits.max() <= ceiling_bits
+                or (y.min() >= _NEGATIVITY
+                    and (y.max() <= ceiling
+                         or (m.max() <= _BLOWUP and a.max() <= ceiling)
+                         or (y.max(axis=-1) <= limits).all()))):
             if grid is not None and not np.isfinite(y).all():
                 # In the block solve 0 * inf is NaN, so a non-finite value
                 # reaches every row: solve the step again from the same

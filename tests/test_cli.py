@@ -379,6 +379,17 @@ def test_hopf_curve_outputs_window(tmp_path, capsys):
     assert rs[1] == pytest.approx(1.7286, abs=1e-3)
 
 
+def test_turing_curve_at_a_tiny_alpha_scans_inside_h1(tmp_path):
+    # 1/alpha = 1e8: the scan's old upper end, 1/alpha - 1e-9, rounded
+    # back to 1/alpha, outside h1, and the command exited 2.
+    code = _run(["turing-curve", *BASE, "--d", "0.01", "--alpha-min", "1e-8",
+                 "--alpha-max", "1e-8", "--resolution", "1",
+                 "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    rows = (tmp_path / "turing_curve.csv").read_text().splitlines()
+    assert [row.split(",")[2] for row in rows[1:]] == ["0", "1"]
+
+
 def test_normal_form_report_values(tmp_path):
     code = _run(["normal-form", *BASE, "--out", str(tmp_path)])
     assert code == EXIT_OK

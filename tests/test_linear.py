@@ -17,7 +17,8 @@ from musselbed import (HypothesisError, ModelParams, boundary_stability,
                        char_coeffs_no_delay, eigenvalues_no_delay,
                        hopf_points_in_r, positive_equilibrium, r_star,
                        TuringCurvePoint, turing_analysis, turing_curve)
-from musselbed.linear import _EDGE, _SCAN_POINTS, _detcoeffs, _scan_roots
+from musselbed.linear import (_EDGE, _SCAN_POINTS, _detcoeffs, _r_window,
+                              _scan_roots)
 
 
 def _seeded_admissible_params(count: int, seed: int = 1523):
@@ -160,6 +161,31 @@ def test_sign_scan_finds_a_root_whose_end_value_product_underflows():
     assert _scan_roots(lambda x: (x - c) * 1e-170, 1.0, 2.0) == roots
     (root,) = roots
     assert root == pytest.approx(c, abs=1e-12)
+
+
+# 1/alpha - _EDGE rounds back to 1/alpha from 1/alpha = 2**24 on, and at
+# the smallest alpha here the scan's last point, lo + _SCAN_POINTS * step,
+# rounds up to 1/alpha from below it.
+TINY_ALPHAS = [1e-8, 5e-8, 1.0327697309498036e-15]
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 0.95, 1e-7, *TINY_ALPHAS])
+def test_scan_window_keeps_every_scan_point_inside_h1(alpha):
+    lo, hi = _r_window(alpha)
+    last = lo + _SCAN_POINTS * ((hi - lo) / _SCAN_POINTS)
+    assert lo == 1.0 + _EDGE
+    assert hi < 1.0 / alpha and last < 1.0 / alpha
+    if 1.0 / alpha - _EDGE < 1.0 / alpha:
+        assert hi == 1.0 / alpha - _EDGE   # the old end, bit for bit
+
+
+@pytest.mark.parametrize("alpha", TINY_ALPHAS)
+def test_pattern_onset_curve_stays_inside_h1_at_a_tiny_alpha(alpha):
+    # Both scans share the window; hopf_margin alone never checked h1.
+    points = turing_curve((alpha, alpha), 0.01, resolution=1)
+    assert [pt.branch for pt in points] == [0, 1]
+    assert all(1.0 < pt.r < 1.0 / alpha for pt in points)
+    assert hopf_points_in_r(alpha, 0.5) == []
 
 
 def test_band_verdict_matches_brute_force_scan():

@@ -203,31 +203,42 @@ def test_float_loop_trips_as_the_serial_reference_does(tau, m0, first,
                                      + ("0.1 " if first else "4."))
 
 
-@pytest.mark.parametrize("n, tau", [
-    pytest.param(32, 3.6, id="32"),
-    pytest.param(64, 3.6, id="64"),
+@pytest.mark.parametrize("n, tau, l, rs", [
+    pytest.param(32, 3.6, 1.0, (2.0,), id="32"),
+    pytest.param(64, 3.6, 1.0, (2.0,), id="64"),
     # One ring slot (every pass of the delayed factor is one step long),
     # and two.
-    pytest.param(32, 0.0, id="32-lag0"),
-    pytest.param(32, 0.03, id="32-lag1"),
+    pytest.param(32, 0.0, 1.0, (2.0,), id="32-lag0"),
+    pytest.param(32, 0.03, 1.0, (2.0,), id="32-lag1"),
+    # The fewest points per row, so row ends lie close together in the
+    # flat stencil, and a spacing whose h^2/2 divides the mirror ends.
+    pytest.param(16, 0.0, 2.5, (2.0,), id="16-l2.5-lag0"),
+    # Three lanes that differ in r, each with its own profile: the flat
+    # stencil runs across all six rows, and no row may read another's.
+    pytest.param(16, 0.0, 1.0, (1.9, 2.0, 2.6), id="16-3-lanes-lag0"),
+    pytest.param(16, 3.6, 1.0, (1.9, 2.0, 2.6), id="16-3-lanes"),
 ])
-def test_pde_matches_serial_reference_bit_for_bit(n, tau):
-    p = replace(REFERENCE, tau=tau)
-    eq = positive_equilibrium(p)
-    grid = Grid(n)
+def test_pde_matches_serial_reference_bit_for_bit(n, tau, l, rs):
+    lanes = [replace(REFERENCE, tau=tau, l=l, r=r) for r in rs]
+    eqs = [positive_equilibrium(q) for q in lanes]
+    grid = Grid(n, l)
     x = grid.x()
 
-    def history(x, t):
-        bump = 0.1 * np.cos(2 * x) * (1.0 + 0.05 * t)
-        return eq.m + bump, eq.a - bump
+    def history(k, t):
+        bump = 0.1 * np.cos((k + 2) * x / l) * (1.0 + 0.05 * t)
+        return eqs[k].m + bump, eqs[k].a - bump
 
-    got = simulate_pde(p, history, grid, t_end=100.0, dt=0.03)
+    def fields(t):
+        m, a = zip(*(history(k, t) for k in range(len(lanes))))
+        return np.stack(m), np.stack(a)
+
+    runs = _integrate(lanes, fields, grid, 100.0, 0.03, None)
     assert _snap_dt(tau, 0.03)[1] == {0.0: 0, 0.03: 1, 3.6: 120}[tau]
-    want = _reference_integrate(
-        p, lambda t: np.asarray(history(x, t)[0], dtype=float),
-        lambda t: np.asarray(history(x, t)[1], dtype=float),
-        grid.points, grid.h, 100.0, 0.03, diffusive=True)
-    _assert_identical(got, want)
+    for k, (q, got) in enumerate(zip(lanes, runs)):
+        want = _reference_integrate(
+            q, lambda t: history(k, t)[0], lambda t: history(k, t)[1],
+            grid.points, grid.h, 100.0, 0.03, diffusive=True)
+        _assert_identical(got, want)
 
 
 @pytest.mark.parametrize("window", [None, 700], ids=["ring", "7-slots"])
@@ -363,6 +374,144 @@ def test_guards_trip_as_the_serial_reference_does(case, grid_n, m0, a0,
         reference()
     assert case in str(got.value)
     assert str(got.value) == str(want.value)
+
+
+# The array loop's guard first takes one maximum of the state's bit
+# patterns read as unsigned integers.  That passes a state in [+0, the
+# least algae bound] with no NaN; every other state, -0.0 and small
+# negatives too, goes on to the full check.  Each case runs as the first
+# of _FLOAT_LANES + 1 homogeneous lanes, so in the array loop, and alone
+# on a grid.  _reference_integrate sees a NaN in a only once it reaches
+# m, a step later (its Python max drops a NaN in second place), and its
+# banded solve refuses a non-finite right-hand side: where a case makes
+# a NaN, the float loop and the guard's own text stand in for it.
+def _assert_leaves_the_fast_path(run) -> None:
+    # Some state that passed the guard had a set sign bit or an algae
+    # value above the least bound: only the full check could pass it.
+    held = np.stack([run.fields_m[1:], run.fields_a[1:]])
+    assert np.signbit(held).any() or held[1].max() > 1.0 + _BOUND_SLACK
+
+
+ARRAY_GUARD_CASES = {
+    # (m0, a0, gamma, dt, and a0 of the last lane if not its equilibrium):
+    # how the first lane ends.
+    # m < 0 decays towards -0 while a, slowed by a large gamma, keeps the
+    # delayed factor r * a - 1 / (1 + m) below zero.
+    "small-negative": ((-5e-11, 0.3, 50.0, 0.01, None), None),
+    # Above the least algae bound of the run but within the lane's own.
+    "own-algae-bound": ((0.1, 1.4, 0.5, 0.01, None), None),
+    "negative": ((-1e-12, 1.0, 0.5, 0.01, None),
+                 "negative field at t = 4.6"),
+    "nan-m": ((-1.0, 0.5, 0.5, 0.01, None),
+              "field blow-up at t = 0.01 (magnitude nan)"),
+    # The explicit step overshoots to a = 1.45: past the lane's own bound,
+    # not past the last lane's.
+    "algae-bound": ((0.0, 0.7, 0.02, 0.5, 1.5),
+                    "algae bound violated at t = 0.5 (max 1.45 > 1)"),
+}
+
+
+@pytest.mark.parametrize("case", ARRAY_GUARD_CASES)
+def test_array_loop_guard_does_as_the_serial_reference(case):
+    (m0, a0, gamma, dt, last_a), outcome = ARRAY_GUARD_CASES[case]
+    p = replace(REFERENCE, gamma=gamma, tau=0.0)
+    lanes = [p] + [replace(p, r=r)
+                   for r in np.linspace(1.5, 2.5, _FLOAT_LANES).tolist()]
+    starts = [(m0, a0)] + [(eq.m * 1.05, eq.a) for eq in
+                           map(positive_equilibrium, lanes[1:])]
+    if last_a is not None:
+        starts[-1] = (starts[-1][0], last_a)
+    m = np.array([[m_b] for m_b, _ in starts])
+    a = np.array([[a_b] for _, a_b in starts])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        runs = _integrate(lanes, lambda t: (m, a), None, 10.0, dt, None)
+    for q, (m_b, a_b), run in zip(lanes, starts, runs):
+        try:
+            with np.errstate(all="ignore"):
+                want = _reference_ode(q, m_b, a_b, 10.0, dt)
+        except NumericalError as exc:
+            assert str(run) == str(exc)
+        else:
+            _assert_identical(run, want)
+    if outcome is None:
+        _assert_leaves_the_fast_path(runs[0])
+    else:
+        assert str(runs[0]).startswith(outcome)
+
+
+def test_array_loop_guard_trips_on_a_nan_in_algae_alone():
+    # alpha / gamma overflows, so every lane's first algae rate is inf and
+    # its Adams-Bashforth sum inf - inf: a is NaN after one step, m not.
+    p = replace(REFERENCE, gamma=1e-310, tau=0.0)
+    lanes = [replace(p, r=r)
+             for r in np.linspace(1.5, 2.5, _FLOAT_LANES + 1).tolist()]
+    m = np.full((len(lanes), 1), 0.3)
+    a = np.full((len(lanes), 1), 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        runs = _integrate(lanes, lambda t: (m, a), None, 1.0, 0.01, None)
+    for q, run in zip(lanes, runs):
+        [alone] = _integrate([q], lambda t: (0.3, 0.5), None, 1.0, 0.01, None)
+        assert str(run) == str(alone) \
+            == "field blow-up at t = 0.01 (magnitude nan)"
+
+
+def _spike(x):
+    # The least subnormal below zero at one node: the implicit half step
+    # divides it by more than two, and m holds -0.0 there after a step.
+    m = np.zeros_like(x)
+    m[len(x) // 2] = -5e-324
+    return m
+
+
+PDE_GUARD_CASES = {   # (m(x), a(x), gamma, dt): how the run ends
+    "negative-zero": ((_spike, lambda x: np.full_like(x, 0.3), 0.5, 0.01),
+                      None),
+    "small-negative": ((lambda x: np.full_like(x, -5e-11),
+                        lambda x: np.full_like(x, 0.3), 50.0, 0.01), None),
+    "negative": ((lambda x: np.full_like(x, -1e-12),
+                  lambda x: np.ones_like(x), 0.5, 0.01),
+                 "negative field at t = 4.6"),
+    # A step in a: the implicit half step overshoots its top.
+    "algae-bound": ((lambda x: np.zeros_like(x),
+                     lambda x: np.where(x < 1.5, 1.0, 0.5), 0.5, 0.5),
+                    "algae bound violated at t = "),
+    "nan-m": ((lambda x: np.full_like(x, -1.0),
+               lambda x: np.full_like(x, 0.5), 0.5, 0.01),
+              "field blow-up at t = 0.01 (magnitude nan)"),
+    "nan-a": ((lambda x: np.full_like(x, 0.3),
+               lambda x: np.full_like(x, 0.5), 1e-310, 0.01),
+              "field blow-up at t = 0.01 (magnitude nan)"),
+}
+
+
+@pytest.mark.parametrize("case", PDE_GUARD_CASES)
+def test_pde_guard_does_as_the_serial_reference(case):
+    (m_of, a_of, gamma, dt), outcome = PDE_GUARD_CASES[case]
+    p = replace(REFERENCE, gamma=gamma, tau=0.0)
+    grid = Grid(64)
+    x = grid.x()
+    m0, a0 = m_of(x), a_of(x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        [run] = _integrate([p], lambda t: (m0, a0), grid, 10.0, dt, 1)
+    if outcome is None:
+        _assert_identical(run, _reference_integrate(
+            p, lambda t: m0, lambda t: a0, grid.points, grid.h, 10.0, dt,
+            diffusive=True, store_every=1))
+        _assert_leaves_the_fast_path(run)
+        if case == "negative-zero":
+            held = run.fields_m[1:]
+            assert (np.signbit(held) & (held == 0.0)).any()
+    elif "nan" in outcome:
+        assert str(run) == outcome
+    else:
+        with pytest.raises(NumericalError) as want:
+            _reference_integrate(p, lambda t: m0, lambda t: a0, grid.points,
+                                 grid.h, 10.0, dt, diffusive=True)
+        assert str(run) == str(want.value)
+        assert str(run).startswith(outcome)
 
 
 def test_guard_message_sees_a_nan_in_either_field():
