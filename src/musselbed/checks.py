@@ -15,7 +15,7 @@ import numpy as np
 from .delay import delay_char_coeffs
 from .exceptions import NumericalError
 from .linear import char_coeffs_no_delay, eigenvalues_no_delay, turing_analysis
-from .model import ModelParams
+from .model import ModelParams, positive_equilibrium
 from .normal_form import hopf_coefficients
 from .sim import Grid
 from .verify import (bilinear_pairing_quadrature, discrete_spectrum,
@@ -47,6 +47,9 @@ def cross_checks(p: ModelParams, spectrum_n: int = 200,
     """The five closed-form-versus-oracle checks at p, in report order."""
     if draws < 1:
         raise ValueError(f"draws must be at least 1, got {draws}")
+    # Every check but the first is taken at p's coexistence state; without
+    # one the oracles' raw formulas can divide by zero (at alpha = 1).
+    positive_equilibrium(p)
     checks: list[Check] = []
 
     rng = np.random.default_rng(20260816)

@@ -26,7 +26,7 @@ import math
 import os
 import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
-from typing import Any, Callable, Iterable, NamedTuple, Optional
+from typing import Any, Callable, Iterable, NamedTuple, NoReturn, Optional
 
 from .exceptions import HypothesisError, NumericalError
 from .model import (ModelParams, check_hypotheses, hopf_margin,
@@ -552,8 +552,17 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                          help=f"model parameter {name}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are usage errors: one `error:`
+    line and exit code 1, like every other bad input.  ``--help`` still
+    prints and exits 0."""
+
+    def error(self, message: str) -> NoReturn:
+        raise CliError(EXIT_USAGE, message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="musselbed",
         description="Bifurcation analysis and simulation of a delayed "
                     "mussel-algae reaction-diffusion model")
@@ -587,9 +596,8 @@ def run(cfg: RunConfig) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         config: dict[str, Any] = {}
         if args.config:
             config = _load_config(args.config)

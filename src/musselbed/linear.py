@@ -31,7 +31,11 @@ from .model import (
 # bisection is robust and still cheap.
 _SCAN_POINTS = 10_000
 _EDGE = 1e-9
-_BISECT_MAXITER = 100
+# Enough halvings for any finite bracket: its width is below 2**1024, and
+# 2**1024 / 2**k < 1e-12 (the scans' xtol) once k >= 1064, as 1e-12 >
+# 2**-40.  A bracket that converges within fewer halvings stops at the
+# same step whatever the cap.
+_BISECT_MAXITER = 1100
 _BISECT_RTOL = 4.0 * math.ulp(1.0)
 # turing_analysis reports the least mode determinant over modes 0.._TURING_MODES.
 _TURING_MODES = 50
@@ -86,11 +90,12 @@ def _bisect(f: Callable[[float], float], a: float, b: float,
             xtol: float) -> float:
     """Root of f in [a, b] by bisection, step for step as scipy's `bisect`.
 
-    Halves the bracket at most 100 times, moving a to the midpoint when f
-    there has the sign of f(a), and stops once the half-width is below
-    xtol + 4*eps*|midpoint|.  Signs are compared, not multiplied, so that
-    values whose product underflows to zero still steer the search.  A NaN value of f or a bracket without a sign change is a
-    ValueError; running out of halvings a RuntimeError.
+    Halves the bracket at most _BISECT_MAXITER times, moving a to the
+    midpoint when f there has the sign of f(a), and stops once the
+    half-width is below xtol + 4*eps*|midpoint|.  Signs are compared, not
+    multiplied, so that values whose product underflows to zero still
+    steer the search.  A NaN value of f or a bracket without a sign change
+    is a ValueError; running out of halvings a RuntimeError.
     """
     def value(x: float) -> float:
         fx = f(x)

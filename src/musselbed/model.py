@@ -171,12 +171,16 @@ def check_hypotheses(p: ModelParams) -> HypothesisReport:
 
     Boundary cases (equalities) are reported false.  When r <= 1 makes
     rho0 undefined, or the coexistence state is missing, h2/h3 are
-    reported false with the reason recorded in details.
+    reported false with the reason recorded in details, and so they are
+    when alpha = 1 makes delta0 undefined.
     """
     details: list[tuple[str, float]] = [("alpha", p.alpha), ("r", p.r)]
     h1 = hypothesis_h1(p)
     if p.r <= 1.0:
         details.append(("rho0 undefined: r <= 1", math.nan))
+        return HypothesisReport(h1, False, False, tuple(details))
+    if p.alpha == 1.0:
+        details.append(("delta0 undefined: alpha = 1", math.nan))
         return HypothesisReport(h1, False, False, tuple(details))
 
     d0 = delta0(p)

@@ -70,31 +70,31 @@ def _raw_kinetics_jacobian(p: ModelParams) -> tuple[float, float, float, float, 
 def discrete_spectrum(p: ModelParams, grid: Grid, count: int) -> list[complex]:
     """Rightmost eigenvalues of the discretized delay-free linearization.
 
-    Assembles the full 2(N+1)-dimensional problem A v = lambda B v with
-    an explicit second-difference Laplacian.  The time-scaling matrix B
-    is diag(1, gamma) per point, so B^-1 A is A with its a-rows divided
-    by gamma, and its dense eigenvalues are those of the pencil.
-    Returns the `count` eigenvalues of largest real part.
+    The 2(N+1)-dimensional problem is A v = lambda B v, with B =
+    diag(1, gamma) per point, for the explicit second-difference
+    Laplacian L with mirror ends (L[0, 1] = L[N, N-1] = 2/h^2).  Each
+    block of B^-1 A is c*I + c'*L, so the blocks commute and its spectrum
+    is the union, over the eigenvalues mu of L, of the spectra of the
+    2x2 matrices [[d*mu + j_mm, j_ma], [j_am/gamma, (mu + j_aa)/gamma]].
+    The mu come from a symmetric eigensolve: scaling the two end points
+    by sqrt(2) makes L symmetric, with sqrt(2)/h^2 on both end
+    off-diagonals.  Returns the `count` eigenvalues of largest real part,
+    a tie (a conjugate pair) in the order of decreasing imaginary part.
     """
     m_eq, a_eq, j_mm, j_ma, j_am = _raw_kinetics_jacobian(p)
     j_aa = -(p.alpha + m_eq)
     nx = grid.points
-    h = grid.h
-    lap = np.zeros((nx, nx))
-    for i in range(nx):
-        lap[i, i] = -2.0
-        if i > 0:
-            lap[i, i - 1] = 1.0
-        if i < nx - 1:
-            lap[i, i + 1] = 1.0
-    lap[0, 1] = 2.0
-    lap[-1, -2] = 2.0
-    lap /= h * h
-    eye = np.eye(nx)
-    upper = np.hstack([p.d * lap + j_mm * eye, j_ma * eye])
-    lower = np.hstack([j_am * eye, lap + j_aa * eye])
-    values = np.linalg.eigvals(np.vstack([upper, lower / p.gamma]))
-    order = np.argsort(-values.real)
+    off = np.ones(nx - 1)
+    off[0] = off[-1] = math.sqrt(2.0)
+    lap = np.diag(np.full(nx, -2.0)) + np.diag(off, 1) + np.diag(off, -1)
+    mu = np.linalg.eigvalsh(lap / (grid.h * grid.h))
+    blocks = np.empty((nx, 2, 2))
+    blocks[:, 0, 0] = p.d * mu + j_mm
+    blocks[:, 0, 1] = j_ma
+    blocks[:, 1, 0] = j_am / p.gamma
+    blocks[:, 1, 1] = (mu + j_aa) / p.gamma
+    values = np.linalg.eigvals(blocks).ravel().astype(complex)
+    order = np.lexsort((-values.imag, -values.real))
     return [complex(values[i]) for i in order[:count]]
 
 

@@ -369,6 +369,75 @@ def test_sweep_with_an_overflowing_delay_is_a_usage_error(tmp_path, capsys):
     assert not os.listdir(tmp_path)
 
 
+@pytest.mark.parametrize("command, code, err", [
+    ("classify", EXIT_OK, ""),
+    ("tau-star", EXIT_HYPOTHESIS,
+     "error: tau_star requires hypotheses h1-h3; failing: h1, h2, h3\n"),
+    ("verify", EXIT_HYPOTHESIS,
+     "error: no positive equilibrium: need 0 < alpha < 1 < r < 1/alpha, "
+     "got alpha=1.0, r=2.0\n"),
+])
+def test_alpha_one_ends_on_a_documented_exit(tmp_path, capsys, command,
+                                             code, err):
+    # delta0 divides by 1 - alpha, and the oracles' raw a* by alpha + m* = 0.
+    assert _run([command, "--alpha", "1", "--r", "2", "--gamma", "1",
+                 "--d", "1", "--out", str(tmp_path)]) == code
+    assert capsys.readouterr().err == err
+    if command == "classify":
+        report = json.loads((tmp_path / "classify_report.json").read_text())
+        assert report["hypotheses"]["details"][
+            "delta0 undefined: alpha = 1"] == "nan"
+
+
+@pytest.mark.parametrize("alpha, upper", [
+    ("1e-100", "2.92893218813e+99"), ("1e-200", "2.92893218813e+199"),
+    ("1e-300", "2.92893218813e+299"),
+])
+def test_hopf_curve_at_a_tiny_alpha_bisects_its_wide_bracket(
+        tmp_path, capsys, alpha, upper):
+    # The scan's cells are about 1/alpha / 10^4 wide: far more than 100
+    # halvings from the 1e-12 tolerance.
+    code = _run(["hopf-curve", "--gamma", "2", "--r", "2", "--d", "1",
+                 "--alpha", alpha, "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    assert capsys.readouterr().out == (
+        f"oscillation onset values of r: 2, {upper}\n")
+
+
+def test_hopf_curve_at_the_least_alpha_is_a_usage_error(tmp_path, capsys):
+    # 1/alpha is inf, so the r grid holds no finite value.
+    code = _run(["hopf-curve", "--gamma", "2", "--r", "2", "--d", "1",
+                 "--alpha", "5e-324", "--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["classify", "--r", "abc"], "argument --r: invalid float value: 'abc'"),
+    (["hopf-curve", "--samples", "1.5"],
+     "argument --samples: invalid int value: '1.5'"),
+    (["classify", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    ([], "the following arguments are required: command"),
+], ids=["bad-float", "bad-int", "unknown-flag", "no-command"])
+def test_a_command_line_that_does_not_parse_is_a_usage_error(
+        tmp_path, capsys, argv, message):
+    code = _run([*argv, "--out", str(tmp_path)] if argv else argv)
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not os.listdir(tmp_path)
+
+
+def test_a_command_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as done:
+        _run(["verify", "--help"])
+    assert done.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: musselbed verify")
+
+
 def test_hopf_curve_outputs_window(tmp_path, capsys):
     code = _run(["hopf-curve", "--r", "2", "--alpha", "0.45", "--gamma",
                  "8", "--out", str(tmp_path)])
@@ -444,6 +513,24 @@ def test_verify_spectrum_match_covers_a_crowded_spectrum(tmp_path):
     rows = (tmp_path / "verify_matrix.csv").read_text().splitlines()
     assert any(row.startswith("discrete_spectrum_match,pass,")
                for row in rows)
+
+
+def _spectrum_mismatch(out_dir: Path, spectrum_n: int) -> float:
+    code = _run(["verify", *BASE, "--spectrum-n", str(spectrum_n),
+                 "--draws", "1", "--out", str(out_dir)])
+    assert code == EXIT_OK
+    [row] = [row for row in
+             (out_dir / "verify_matrix.csv").read_text().splitlines()
+             if row.startswith("discrete_spectrum_match,")]
+    assert row.startswith("discrete_spectrum_match,pass,")
+    return float(row.rsplit(" ", 1)[1])
+
+
+def test_verify_spectrum_refines_at_second_order_on_fine_grids(tmp_path):
+    # Halving the spacing quarters the mismatch, up to 800 intervals.
+    coarse = _spectrum_mismatch(tmp_path / "400", 400)
+    fine = _spectrum_mismatch(tmp_path / "800", 800)
+    assert coarse / fine == pytest.approx(4.0, rel=0.05)
 
 
 def test_verify_matrix_is_pinned_at_the_reference_point(tmp_path):

@@ -159,6 +159,14 @@ def test_hypothesis_report_without_coexistence_state():
     assert not report.h3
 
 
+def test_hypothesis_report_at_alpha_one_names_the_undefined_delta0():
+    # delta0 divides by 1 - alpha: the report says so instead of raising.
+    report = check_hypotheses(ModelParams(r=2.0, alpha=1.0, gamma=1.0))
+    assert (report.h1, report.h2, report.h3) == (False, False, False)
+    assert [name for name, _ in report.details] == [
+        "alpha", "r", "delta0 undefined: alpha = 1"]
+
+
 def test_homogeneous_stability_predicate_tracks_trace_sign():
     # delta0^2 - rho0 < 0 is equivalent to a positive delay-free trace
     # margin of the homogeneous mode; check the equivalence on draws.

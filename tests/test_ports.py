@@ -2,7 +2,8 @@
 
 `linear._bisect` and `sim._find_peaks` stand in for `scipy.optimize.bisect`
 and `scipy.signal.find_peaks`, and `verify.discrete_spectrum` takes numpy
-eigenvalues of B^-1 A in place of `scipy.linalg.eig(A, B)`, so that
+eigenvalues of one 2x2 block per eigenvalue of the discrete Laplacian in
+place of `scipy.linalg.eig(A, B)` of the assembled pencil, so that
 importing the package loads no scipy module.  A PDE run loads scipy's
 compiled LAPACK module from its file (`sim._lapack`), and no other scipy
 module: the same routines, and so the same bits, as `scipy.linalg.lapack`.
@@ -173,12 +174,25 @@ def test_bisect_raises_on_nan_like_scipy():
 
 
 def test_bisect_raises_when_it_runs_out_of_halvings_like_scipy():
+    # 2e300 down to 4*eps*1e-300 takes some 2,040 halvings.
     def f(x):
         return x - 1e-300
+    cap = linear._BISECT_MAXITER
     with pytest.raises(RuntimeError):
-        bisect(f, -1.0, 1.0, xtol=5e-324)
+        bisect(f, -1e300, 1e300, xtol=5e-324, maxiter=cap)
     with pytest.raises(RuntimeError):
-        _bisect(f, -1.0, 1.0, xtol=5e-324)
+        _bisect(f, -1e300, 1e300, xtol=5e-324)
+
+
+def test_bisect_narrows_the_widest_finite_bracket_like_scipy():
+    # Any finite bracket reaches the scans' 1e-12 within the cap, and a
+    # tolerance of 4*eps*1e-300 from a bracket 2 wide does too.
+    cap = linear._BISECT_MAXITER
+    for f, a, b, xtol in ((lambda x: x - 1.0, 0.0, 1.7e308, 1e-12),
+                          (lambda x: 1.0 - x, 1.7e308, 0.0, 1e-12),
+                          (lambda x: x - 1e-300, -1.0, 1.0, 5e-324)):
+        assert _bisect(f, a, b, xtol=xtol) \
+            == bisect(f, a, b, xtol=xtol, maxiter=cap)
 
 
 def _scipy_bisect(f, a, b, xtol):
@@ -210,11 +224,13 @@ def _pencil(p: ModelParams, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     return a_mat, b_mat
 
 
-@pytest.mark.parametrize("n_grid", [100, 200])
+@pytest.mark.parametrize("n_grid", [16, 100, 200])
 @pytest.mark.parametrize("p", [
     ModelParams(r=2.0, alpha=0.10, gamma=0.5, d=1.0),
     ModelParams(r=1.1917, alpha=0.6045, gamma=2.2312, d=1.9486, l=1.9488),
-], ids=["readme", "crowded"])
+    # Every 2x2 block has two real eigenvalues.
+    ModelParams(r=1.2, alpha=0.5, gamma=0.2, d=2.0, l=1.5),
+], ids=["readme", "crowded", "real"])
 def test_discrete_spectrum_matches_scipy_generalized_eig(p, n_grid):
     grid = Grid(n_grid, p.l)
     want = scipy.linalg.eig(*_pencil(p, grid), right=False)
@@ -225,6 +241,10 @@ def test_discrete_spectrum_matches_scipy_generalized_eig(p, n_grid):
     assert (gap.min(axis=1) <= 1e-10 * np.abs(got)).all()
     assert (gap.min(axis=0) <= 1e-10 * np.abs(want)).all()
     assert (np.diff(got.real) <= 0).all()
+    # A tie in real part (a conjugate pair) lists the upper root first.
+    ties = np.diff(got.real) == 0
+    assert (np.diff(got.imag)[ties] < 0).all()
+    assert got.imag.any() == (p.r != 1.2)
 
 
 def _modules_after(code: str, prefix: str) -> list[str]:
