@@ -60,11 +60,10 @@ def cross_checks(p: ModelParams, spectrum_n: int = 200,
         q = ModelParams(r=r, alpha=alpha, gamma=float(rng.uniform(0.1, 5.0)),
                         d=float(rng.uniform(0.01, 2.0)))
         for n in range(0, 6):
-            free = char_coeffs_no_delay(q, n)
-            lag = delay_char_coeffs(q, n)
-            worst = max(worst,
-                        abs(lag.t_n + lag.b - free.t_tilde),
-                        abs(lag.d_n + lag.m_n - free.d_tilde))
+            _, t_tilde, d_tilde = char_coeffs_no_delay(q, n)
+            _, t_n, m_n, d_n, b, _ = delay_char_coeffs(q, n)
+            worst = max(worst, abs(t_n + b - t_tilde),
+                        abs(d_n + m_n - d_tilde))
     checks.append(Check("delay_free_consistency", worst, IDENTITY_TOL,
                         f"max identity residual {worst:.3e}"))
 
@@ -106,13 +105,13 @@ def cross_checks(p: ModelParams, spectrum_n: int = 200,
     checks.append(Check("pairing_quadrature", pair_err, PAIRING_TOL,
                         f"max pairing residual {pair_err:.3e}"))
 
-    region = grid_classify((0.05, 0.6), (1.1, 3.0), p.d, p.gamma,
-                           resolution=12)
+    alphas, rs, labels = grid_classify((0.05, 0.6), (1.1, 3.0), p.d,
+                                       p.gamma, resolution=12)
     mismatches = 0
     cells = 0
-    for i, alpha in enumerate(region.alphas):
-        for j, r in enumerate(region.rs):
-            label = region.labels[i, j]
+    for i, alpha in enumerate(alphas):
+        for j, r in enumerate(rs):
+            label = labels[i, j]
             if label in ("non-H1", "hopf"):
                 continue
             cells += 1

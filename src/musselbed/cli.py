@@ -15,7 +15,12 @@ handler imports its own layer, and numpy only if it uses it.  So
 ``--help``, ``classify``, ``tau-star``, ``turing-curve``, ``normal-form``
 and ``hopf-curve`` run without numpy.  Only a PDE ``simulate`` loads
 scipy, and of it only the compiled LAPACK module ``scipy.linalg._flapack``
-(see `sim._lapack`); no command imports ``scipy.linalg``.
+(see `sim._lapack`); no command imports ``scipy.linalg``.  The layers
+return NamedTuple records, since a dataclass generates and execs its
+methods on every import; only `ModelParams` and `sim.Grid` stay
+dataclasses, as they validate on construction and their fields are read
+on the hot paths, where a dataclass field read is faster.  An argv that
+starts with a command gets a parser of that command alone.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, fields, replace
 from typing import Any, Callable, Iterable, NamedTuple, NoReturn, Optional
 
 from .exceptions import HypothesisError, NumericalError
@@ -46,13 +51,12 @@ class CliError(Exception):
         self.code = code
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     """Everything one invocation needs: command, parameters, options."""
 
     command: str
     params: ModelParams
-    options: dict[str, Any] = field(default_factory=dict)
+    options: dict[str, Any]
     out_dir: str = "."
 
 
@@ -106,22 +110,33 @@ def _write_json(out_dir: str, name: str, payload: Any) -> None:
                 + "\n")
 
 
+def _template(kinds: tuple[type, ...]) -> str:
+    """The % template of a CSV row whose cells have these types: "%.12g"
+    (the text of _fmt) for a float, "%s" (str) for any other cell."""
+    return ",".join(["%.12g" if issubclass(kind, float) else "%s"
+                     for kind in kinds])
+
+
 def _write_csv(out_dir: str, name: str, header: list[str],
-               rows: Iterable[Iterable[Any]]) -> None:
-    """Write the header and rows as CSV.  Each row is formatted by one %
-    with a template cached per tuple of cell types: "%.12g" (the text of
-    _fmt) for a float, "%s" (str) for any other cell."""
-    templates: dict[tuple[type, ...], str] = {}
+               rows: Iterable[Iterable[Any]],
+               kinds: Optional[tuple[type, ...]] = None) -> None:
+    """Write the header and rows as CSV, each row formatted by one % with
+    the _template of its cell types.  A caller whose every row has the
+    cell types `kinds` passes them, and every row then takes one
+    template; otherwise each row's types are looked up."""
     lines = [",".join(header)]
-    for row in rows:
-        row = tuple(row)
-        kinds = tuple(map(type, row))
-        template = templates.get(kinds)
-        if template is None:
-            template = templates[kinds] = ",".join(
-                ["%.12g" if issubclass(kind, float) else "%s"
-                 for kind in kinds])
-        lines.append(template % row)
+    if kinds is not None:
+        template = _template(kinds)
+        lines += [template % tuple(row) for row in rows]
+    else:
+        templates: dict[tuple[type, ...], str] = {}
+        for row in rows:
+            row = tuple(row)
+            row_kinds = tuple(map(type, row))
+            template = templates.get(row_kinds)
+            if template is None:
+                template = templates[row_kinds] = _template(row_kinds)
+            lines.append(template % row)
     _write_text(out_dir, name, "\n".join(lines) + "\n")
 
 
@@ -366,11 +381,11 @@ def _cmd_normal_form(cfg: RunConfig) -> int:
 def _history_factory(p: ModelParams, amplitude: float, wavenumber: int):
     import numpy as np
 
-    eq = positive_equilibrium(p)
+    m, a = positive_equilibrium(p)
 
     def history(x: np.ndarray, t: float):
         bump = amplitude * np.cos(wavenumber * x / p.l)
-        return eq.m + bump, eq.a - bump
+        return m + bump, a - bump
 
     return history
 
@@ -404,8 +419,6 @@ print("wrote timeseries.png")
 
 
 def _cmd_simulate(cfg: RunConfig) -> int:
-    import numpy as np
-
     from .sim import (Grid, _check_transient_fraction, detect_orbit,
                       lyapunov_value, simulate_ode, simulate_pde)
 
@@ -433,16 +446,18 @@ def _cmd_simulate(cfg: RunConfig) -> int:
                fm.max(axis=1), lyapunov_value(fm, fa, p, grid))
     _write_csv(cfg.out_dir, "timeseries.csv",
                ["t", "mean_m", "mean_a", "min_m", "max_m", "energy"],
-               zip(*(c.tolist() for c in columns)))
+               zip(*(c.tolist() for c in columns)), kinds=(float,) * 6)
 
-    # Every grid point of every len(times)//200-th frame, one per row.
+    # Every grid point of every len(times)//200-th frame, one per row;
+    # each time and each point is formatted once.
     ks = slice(None, None, max(1, len(traj.times) // 200))
-    xs = grid.x() if grid is not None else np.zeros(1)
-    times = traj.times[ks]
+    xs = [_fmt(x) for x in (grid.x().tolist() if grid is not None
+                            else [0.0])]
+    ts = [_fmt(t) for t in traj.times[ks].tolist()]
     _write_csv(cfg.out_dir, "fields.csv", ["t", "x", "m", "a"],
-               zip(np.repeat(times, len(xs)).tolist(),
-                   np.tile(xs, len(times)).tolist(),
-                   fm[ks].ravel().tolist(), fa[ks].ravel().tolist()))
+               zip([t for t in ts for _ in xs], xs * len(ts),
+                   fm[ks].ravel().tolist(), fa[ks].ravel().tolist()),
+               kinds=(str, str, float, float))
 
     _write_json(cfg.out_dir, "orbit_summary.json", {
         "is_periodic": summary.is_periodic, "period": summary.period,
@@ -561,13 +576,18 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(EXIT_USAGE, message)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of command `only` alone.  The
+    latter parses an argv that starts with that command as the full
+    parser does, with the same help, errors and Namespace."""
     parser = _Parser(
         prog="musselbed",
         description="Bifurcation analysis and simulation of a delayed "
                     "mussel-algae reaction-diffusion model")
     subs = parser.add_subparsers(dest="command", required=True)
     for cmd, command in _COMMANDS.items():
+        if only is not None and cmd != only:
+            continue
         sub = subs.add_parser(cmd, help=command.help)
         _add_common(sub)
         for name, (kind, default) in command.options.items():
@@ -596,8 +616,13 @@ def run(cfg: RunConfig) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    # A call parses one command: build only its options.  Any other argv
+    # (--help, a bad or missing command) gets the full parser.
+    only = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(only).parse_args(argv)
         config: dict[str, Any] = {}
         if args.config:
             config = _load_config(args.config)

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .exceptions import HypothesisError, NumericalError
-from .model import ModelParams, check_hypotheses, positive_equilibrium
+from .model import (ModelParams, check_hypotheses, delayed_self_term,
+                    positive_equilibrium)
 
 TWO_PI = 2.0 * math.pi
 # tau_star scans this many modes past the first crossing-free one, and
@@ -27,8 +27,7 @@ _CEILING_MARGIN = 5
 _CEILING_CAP = 10_000
 
 
-@dataclass(frozen=True)
-class SpectralCoeffsDelay:
+class SpectralCoeffsDelay(NamedTuple):
     """Mode-n coefficients of the delayed characteristic function.
 
     script_t is the quartic's middle coefficient t_n**2 - 2*gamma*d_n - b**2,
@@ -43,8 +42,7 @@ class SpectralCoeffsDelay:
     script_t: float
 
 
-@dataclass(frozen=True)
-class HopfPoint:
+class HopfPoint(NamedTuple):
     """A critical delay for mode n: the j-th delay at which the mode's
     eigenvalue pair reaches the imaginary axis at frequency omega.
 
@@ -59,8 +57,7 @@ class HopfPoint:
     transversality: float
 
 
-@dataclass(frozen=True)
-class TauStar:
+class TauStar(NamedTuple):
     """First overall critical delay.
 
     tau is the minimum over contributing modes of the first critical delay,
@@ -78,12 +75,12 @@ class TauStar:
 
 def delay_char_coeffs(p: ModelParams, n: int) -> SpectralCoeffsDelay:
     """Coefficients of mode n's delayed characteristic function."""
-    eq = positive_equilibrium(p)
+    m, a = positive_equilibrium(p)
     ksq = p.wavenumber_sq(n)
-    t_n = p.alpha + eq.m + (1.0 + p.gamma * p.d) * ksq
-    m_n = p.r * eq.a * eq.m * (1.0 - p.alpha * p.r - p.r * eq.a * ksq)
-    d_n = p.d * (p.alpha + eq.m + ksq) * ksq
-    b = -p.gamma * eq.delayed_self
+    t_n = p.alpha + m + (1.0 + p.gamma * p.d) * ksq
+    m_n = p.r * a * m * (1.0 - p.alpha * p.r - p.r * a * ksq)
+    d_n = p.d * (p.alpha + m + ksq) * ksq
+    b = -p.gamma * delayed_self_term(m)
     script_t = t_n * t_n - 2.0 * p.gamma * d_n - b * b
     return SpectralCoeffsDelay(n, t_n, m_n, d_n, b, script_t)
 
@@ -103,30 +100,30 @@ def _crossing(p: ModelParams, n: int) -> Optional[HopfPoint]:
     with a unique positive root exactly when gap = d_n**2 - m_n**2 < 0.
     The crossing phase is the two-argument arctangent of the exact
     (cos, sin) pair of the crossing condition, in [0, 2*pi)."""
-    c = delay_char_coeffs(p, n)
-    if c.script_t <= 0.0:
+    _, t_n, m_n, d_n, b, script_t = delay_char_coeffs(p, n)
+    if script_t <= 0.0:
         raise HypothesisError(
             f"mode {n}: quartic middle coefficient is not positive "
             "(homogeneous mode is not delay-free stable)"
         )
-    gap = c.d_n * c.d_n - c.m_n * c.m_n
+    gap = d_n * d_n - m_n * m_n
     if gap >= 0.0:
-        if c.d_n + c.m_n <= 0.0:
+        if d_n + m_n <= 0.0:
             raise HypothesisError(
                 f"mode {n}: nonpositive delay-free determinant (d_n + m_n <= 0); "
                 "the mode is already unstable without delay"
             )
         return None
-    radicand = c.script_t ** 2 - 4.0 * p.gamma ** 2 * gap
+    radicand = script_t ** 2 - 4.0 * p.gamma ** 2 * gap
     if radicand <= 0.0:
         raise NumericalError(f"mode {n}: degenerate crossing (zero radicand)")
     root = math.sqrt(radicand)
     # z = (-script_t + root) / (2 gamma^2) loses every digit when the gap
     # is small against script_t; this form has no cancellation.
-    omega = math.sqrt(-2.0 * gap / (c.script_t + root))
-    den = c.m_n ** 2 + omega ** 2 * c.b ** 2   # >= m_n**2 > 0 when gap < 0
-    cos_val = ((p.gamma * c.m_n - c.b * c.t_n) * omega ** 2 - c.m_n * c.d_n) / den
-    sin_val = (c.m_n * c.t_n * omega + omega * c.b * (p.gamma * omega ** 2 - c.d_n)) / den
+    omega = math.sqrt(-2.0 * gap / (script_t + root))
+    den = m_n ** 2 + omega ** 2 * b ** 2   # >= m_n**2 > 0 when gap < 0
+    cos_val = ((p.gamma * m_n - b * t_n) * omega ** 2 - m_n * d_n) / den
+    sin_val = (m_n * t_n * omega + omega * b * (p.gamma * omega ** 2 - d_n)) / den
     angle = math.atan2(sin_val, cos_val) % TWO_PI
     return HopfPoint(n, 0, omega, angle / omega, root / den)
 
@@ -134,8 +131,8 @@ def _crossing(p: ModelParams, n: int) -> Optional[HopfPoint]:
 def _ladder(first: HopfPoint, j_max: int) -> list[HopfPoint]:
     """first and the next j_max critical delays of its mode, 2*pi/omega
     apart."""
-    return [replace(first, j=j,
-                    tau_crit=first.tau_crit + TWO_PI * j / first.omega)
+    return [first._replace(j=j,
+                           tau_crit=first.tau_crit + TWO_PI * j / first.omega)
             for j in range(j_max + 1)]
 
 

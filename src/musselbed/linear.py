@@ -12,8 +12,7 @@ report and critical curve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .exceptions import HypothesisError, NumericalError
 from .model import (
@@ -41,8 +40,7 @@ _BISECT_RTOL = 4.0 * math.ulp(1.0)
 _TURING_MODES = 50
 
 
-@dataclass(frozen=True)
-class SpectralCoeffsNoDelay:
+class SpectralCoeffsNoDelay(NamedTuple):
     """Mode-n quadratic coefficients: gamma*lam^2 + t_tilde*lam + d_tilde = 0."""
 
     n: int
@@ -50,8 +48,7 @@ class SpectralCoeffsNoDelay:
     d_tilde: float
 
 
-@dataclass(frozen=True)
-class TuringReport:
+class TuringReport(NamedTuple):
     """Diffusion-driven instability classification at one parameter point.
 
     g_r is the quadratic's slope coefficient in k^2, lambda_disc the
@@ -74,8 +71,7 @@ class TuringReport:
     discrete_min_value: float
 
 
-@dataclass(frozen=True)
-class RHopfPoint:
+class RHopfPoint(NamedTuple):
     """A Hopf critical value of r for the non-spatial system.
 
     transversality_sign is +1 when the eigenvalue pair crosses into the right
@@ -302,8 +298,7 @@ def turing_analysis(p: ModelParams, strict: bool = True) -> TuringReport:
     )
 
 
-@dataclass(frozen=True)
-class TuringCurvePoint:
+class TuringCurvePoint(NamedTuple):
     """One point of the diffusion-driven instability threshold curve."""
 
     alpha: float

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exceptions import HypothesisError
 
@@ -56,8 +57,7 @@ class ModelParams:
         return (n / self.l) ** 2
 
 
-@dataclass(frozen=True)
-class Equilibrium:
+class Equilibrium(NamedTuple):
     """A spatially homogeneous steady state (m, a)."""
 
     m: float
@@ -69,8 +69,7 @@ class Equilibrium:
         return delayed_self_term(self.m)
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(NamedTuple):
     """Outcome of the three structural hypothesis checks.
 
     h1: the coexistence state exists (0 < alpha < 1 < r < 1/alpha).
@@ -172,7 +171,10 @@ def check_hypotheses(p: ModelParams) -> HypothesisReport:
     Boundary cases (equalities) are reported false.  When r <= 1 makes
     rho0 undefined, or the coexistence state is missing, h2/h3 are
     reported false with the reason recorded in details, and so they are
-    when alpha = 1 makes delta0 undefined.
+    when alpha = 1 makes delta0 undefined, when gamma*(r - 1) underflows
+    to 0 (rho0 divides by it) and when delta0^2 overflows.  When m*^2
+    underflows to 0 the discriminant is undefined, and h3 holds exactly
+    when d*gamma*rho0 - delta0^2 > 0.
     """
     details: list[tuple[str, float]] = [("alpha", p.alpha), ("r", p.r)]
     h1 = hypothesis_h1(p)
@@ -182,8 +184,17 @@ def check_hypotheses(p: ModelParams) -> HypothesisReport:
     if p.alpha == 1.0:
         details.append(("delta0 undefined: alpha = 1", math.nan))
         return HypothesisReport(h1, False, False, tuple(details))
+    if p.gamma * (p.r - 1.0) == 0.0:
+        details.append(("rho0 undefined: gamma*(r - 1) underflows to 0",
+                        math.nan))
+        return HypothesisReport(h1, False, False, tuple(details))
 
     d0 = delta0(p)
+    if math.isfinite(d0) and math.isinf(d0 * d0):
+        # hopf_margin's delta0 ** 2 would raise OverflowError.  This
+        # needs alpha*r > 1, so h1 fails too.
+        details.append(("delta0^2 overflows", math.nan))
+        return HypothesisReport(h1, False, False, tuple(details))
     r0 = rho0(p)
     h2_value = hopf_margin(p)
     h2 = h2_value < 0.0
@@ -198,8 +209,13 @@ def check_hypotheses(p: ModelParams) -> HypothesisReport:
     eq = positive_equilibrium(p)
     d_tilde_0 = zero_mode_determinant(p, eq)
     spread = p.d * p.gamma * r0 - d0 * d0
-    disc = spread * spread - 4.0 * p.d * d_tilde_0 / (eq.m * eq.m)
-    h3 = spread > 0.0 or (spread < 0.0 and disc < 0.0)
     details.append(("d*gamma*rho0 - delta0^2", spread))
+    m_sq = eq.m * eq.m
+    if m_sq == 0.0:
+        details.append(("discriminant undefined: m*^2 underflows to 0",
+                        math.nan))
+        return HypothesisReport(h1, h2, spread > 0.0, tuple(details))
+    disc = spread * spread - 4.0 * p.d * d_tilde_0 / m_sq
+    h3 = spread > 0.0 or (spread < 0.0 and disc < 0.0)
     details.append(("(d*gamma*rho0 - delta0^2)^2 - 4*d*D0/m*^2", disc))
     return HypothesisReport(h1, h2, h3, tuple(details))

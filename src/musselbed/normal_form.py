@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .delay import TauStar, char_residual, eigenvalue_slope, tau_star
 from .exceptions import NumericalError
@@ -36,8 +36,7 @@ _DET_GUARD = 1e-14
 _Vec = tuple[complex, complex]
 
 
-@dataclass(frozen=True)
-class Eigenpair:
+class Eigenpair(NamedTuple):
     """Center eigenfunctions of the critical mode and their normalization.
 
     q(theta) = (1, q1)^T e^{i omega tau theta} spans the crossing
@@ -54,8 +53,7 @@ class Eigenpair:
     n0: int
 
 
-@dataclass(frozen=True)
-class NonlinearExpansion:
+class NonlinearExpansion(NamedTuple):
     """Taylor coefficients of the kinetics at the positive equilibrium.
 
     Written for deviation variables (u, v) = (m - m*, a - a*); subscripts
@@ -91,8 +89,7 @@ class NonlinearExpansion:
         return f1, f2
 
 
-@dataclass(frozen=True)
-class CenterManifoldTerms:
+class CenterManifoldTerms(NamedTuple):
     """Quadratic normal-form constants, manifold corrections and the
     cubic-projection brackets.
 
@@ -123,8 +120,7 @@ class CenterManifoldTerms:
     quartic: float
 
 
-@dataclass(frozen=True)
-class HopfCoefficients:
+class HopfCoefficients(NamedTuple):
     """Normal-form constants and the resulting orbit classification,
     with the crossing, eigenpair and manifold terms they were built from."""
 
@@ -148,8 +144,9 @@ def eigenpair(p: ModelParams, n0: int, omega: float, tau: float) -> Eigenpair:
     """Center eigendirections of mode n0 at a verified imaginary crossing.
 
     Raises NumericalError when (i*omega, tau) is not actually a root of the
-    mode's characteristic function, or when the closed-form normalization
-    fails the pairing identity (q*, conj q) = 0.
+    mode's characteristic function, when gamma*r*m* underflows to 0 (the
+    adjoint divides by it), or when the closed-form normalization fails
+    the pairing identity (q*, conj q) = 0.
     """
     residual = char_residual(p, n0, 1j * omega, tau)
     if abs(residual) > _RESIDUAL_TOL:
@@ -163,7 +160,11 @@ def eigenpair(p: ModelParams, n0: int, omega: float, tau: float) -> Eigenpair:
     q1 = -eq.a / shift
     # Left null vector of the mode matrix is (shift/(r m* e^{-i w tau}), 1);
     # the adjoint for the Gamma-weighted pairing carries an extra 1/gamma.
-    q2 = shift / (p.gamma * p.r * eq.m * rot)
+    coupling = p.gamma * p.r * eq.m * rot
+    if coupling == 0:
+        raise NumericalError("adjoint eigenvector undefined: gamma*r*m* "
+                             "underflows to 0")
+    q2 = shift / coupling
     denom = (q1 + q2) + tau * q2 * (eq.delayed_self + q1 * p.r * eq.m) * rot
     if abs(denom) < _DET_GUARD:
         raise NumericalError("degenerate eigenvector normalization")

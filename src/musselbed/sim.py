@@ -27,7 +27,7 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from types import ModuleType
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -86,8 +86,7 @@ class Grid:
         return np.linspace(0.0, self.l * math.pi, self.n + 1)
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     """Stored solution frames of one integration run.
 
     fields_m and fields_a have shape (frames, points); a single-point
@@ -100,8 +99,7 @@ class Trajectory:
     dt: float
 
 
-@dataclass(frozen=True)
-class OrbitSummary:
+class OrbitSummary(NamedTuple):
     """Periodicity verdict for the post-transient part of a trajectory."""
 
     is_periodic: bool
@@ -717,8 +715,7 @@ def detect_orbit(traj: Trajectory,
         spatial_inhomogeneity=inhomogeneity)
 
 
-@dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(NamedTuple):
     """One row of an amplitude sweep: parameters, verdict, or failure."""
 
     r: float

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -26,8 +25,7 @@ _TRACK_MAX_DEPTH = 6
 _PAIRING_POINTS = 4000
 
 
-@dataclass(frozen=True)
-class RootTrack:
+class RootTrack(NamedTuple):
     """A characteristic root followed along the delay axis.
 
     crossing_tau is the delay at which the tracked real part changes
@@ -42,8 +40,7 @@ class RootTrack:
     crossing_tau: Optional[float]
 
 
-@dataclass(frozen=True)
-class RegionMap:
+class RegionMap(NamedTuple):
     """Cell-wise stability classification over an (alpha, r) rectangle."""
 
     alphas: np.ndarray

@@ -6,6 +6,7 @@ a pytest-provided temporary directory.
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import os
@@ -294,6 +295,13 @@ def test_csv_rows_format_each_cell_by_the_per_cell_rule(tmp_path):
         ",".join(f"{x:.12g}" if isinstance(x, float) else str(x) for x in row)
         for row in rows]
     assert (tmp_path / "mixed.csv").read_text() == "\n".join(want) + "\n"
+    # Rows of one declared tuple of types take the same text.
+    uniform = [("t", x, -x) for x in special[:8]]
+    cli._write_csv(str(tmp_path), "uniform.csv", ["a", "b", "c"], uniform,
+                   kinds=(str, float, float))
+    cli._write_csv(str(tmp_path), "looked-up.csv", ["a", "b", "c"], uniform)
+    assert ((tmp_path / "uniform.csv").read_text()
+            == (tmp_path / "looked-up.csv").read_text())
 
 
 def test_simulate_fields_hold_every_point_of_every_strided_frame(tmp_path):
@@ -436,6 +444,78 @@ def test_a_command_help_still_exits_zero(capsys):
         _run(["verify", "--help"])
     assert done.value.code == 0
     assert capsys.readouterr().out.startswith("usage: musselbed verify")
+
+
+def _subparsers(parser):
+    (action,) = [a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_a_one_command_parser_parses_as_the_full_parser(tmp_path, command):
+    # main builds only the subparser its argv names.
+    full, only = cli._build_parser(), cli._build_parser(command)
+    assert list(_subparsers(only)) == [command]
+    assert (_subparsers(only)[command].format_help()
+            == _subparsers(full)[command].format_help())
+    argv = [command, *BASE, "--out", str(tmp_path)]
+    assert only.parse_args(argv) == full.parse_args(argv)
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+@pytest.mark.parametrize("flags", [["--bogus", "1"], ["--r", "abc"]],
+                         ids=["unknown-flag", "bad-value"])
+def test_main_reports_a_parse_error_as_the_full_parser_does(
+        tmp_path, capsys, command, flags):
+    argv = [command, *flags, "--out", str(tmp_path)]
+    with pytest.raises(cli.CliError) as full:
+        cli._build_parser().parse_args(argv)
+    assert main(argv) == full.value.code == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {full.value}\n"
+
+
+@pytest.mark.parametrize("argv, code, err, reason", [
+    (["classify", "--alpha", "10", "--r", "1e300", "--gamma", "1"], EXIT_OK,
+     "", "delta0^2 overflows"),
+    (["tau-star", "--alpha", "10", "--r", "1e300", "--gamma", "1"],
+     EXIT_HYPOTHESIS,
+     "error: tau_star requires hypotheses h1-h3; failing: h1, h2, h3\n",
+     None),
+    (["classify", "--alpha", "1e-300", "--r", "2", "--gamma", "1"], EXIT_OK,
+     "", "discriminant undefined: m*^2 underflows to 0"),
+    (["classify", "--alpha", "0.1", "--r", "1.0000000001", "--gamma",
+      "5e-324"], EXIT_OK, "",
+     "rho0 undefined: gamma*(r - 1) underflows to 0"),
+    (["normal-form", "--alpha", "0.1", "--r", "2", "--gamma", "5e-324"],
+     EXIT_NUMERICAL,
+     "error: adjoint eigenvector undefined: gamma*r*m* underflows to 0\n",
+     None),
+], ids=["delta0-overflow", "tau-star-delta0-overflow", "m-squared-underflow",
+        "rho0-underflow", "normal-form-gamma-underflow"])
+def test_an_overflow_or_underflow_ends_on_a_documented_exit(
+        tmp_path, capsys, argv, code, err, reason):
+    # Each of these ended in an OverflowError or ZeroDivisionError
+    # traceback.
+    assert _run([*argv, "--d", "1", "--out", str(tmp_path)]) == code
+    assert capsys.readouterr().err == err
+    if reason is not None:
+        report = json.loads((tmp_path / "classify_report.json").read_text())
+        assert report["hypotheses"]["details"][reason] == "nan"
+
+
+def test_no_result_record_reaches_the_json_writer(tmp_path, monkeypatch):
+    # A record is a tuple, which _jsonable would write as a list.
+    plain = cli._jsonable
+
+    def checked(obj):
+        assert not hasattr(obj, "_fields"), type(obj)
+        return plain(obj)
+
+    monkeypatch.setattr(cli, "_jsonable", checked)
+    for command, small in _SMALL_FLAGS.items():
+        assert _run([command, *BASE, *small, "--out",
+                     str(tmp_path / command)]) == EXIT_OK, command
 
 
 def test_hopf_curve_outputs_window(tmp_path, capsys):

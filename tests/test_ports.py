@@ -414,3 +414,20 @@ def test_only_checks_imports_an_oracle_together_with_its_target():
     importers = {path.stem for path in src.glob("*.py")
                  if "verify" in _package_imports(path)}
     assert importers == {"checks"}
+
+
+def test_only_the_validated_inputs_are_dataclasses():
+    # A dataclass generates and execs its methods on every import; the
+    # result records are NamedTuples.  ModelParams and Grid validate on
+    # construction, and their fields are read on the hot paths.
+    decorated = set()
+    for path in Path(musselbed.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                for deco in node.decorator_list:
+                    target = deco.func if isinstance(deco, ast.Call) else deco
+                    name = (target.attr if isinstance(target, ast.Attribute)
+                            else getattr(target, "id", None))
+                    if name == "dataclass":
+                        decorated.add(f"{path.stem}.{node.name}")
+    assert decorated == {"model.ModelParams", "sim.Grid"}
