@@ -110,33 +110,14 @@ def _write_json(out_dir: str, name: str, payload: Any) -> None:
                 + "\n")
 
 
-def _template(kinds: tuple[type, ...]) -> str:
-    """The % template of a CSV row whose cells have these types: "%.12g"
-    (the text of _fmt) for a float, "%s" (str) for any other cell."""
-    return ",".join(["%.12g" if issubclass(kind, float) else "%s"
-                     for kind in kinds])
-
-
 def _write_csv(out_dir: str, name: str, header: list[str],
-               rows: Iterable[Iterable[Any]],
-               kinds: Optional[tuple[type, ...]] = None) -> None:
-    """Write the header and rows as CSV, each row formatted by one % with
-    the _template of its cell types.  A caller whose every row has the
-    cell types `kinds` passes them, and every row then takes one
-    template; otherwise each row's types are looked up."""
-    lines = [",".join(header)]
-    if kinds is not None:
-        template = _template(kinds)
-        lines += [template % tuple(row) for row in rows]
-    else:
-        templates: dict[tuple[type, ...], str] = {}
-        for row in rows:
-            row = tuple(row)
-            row_kinds = tuple(map(type, row))
-            template = templates.get(row_kinds)
-            if template is None:
-                template = templates[row_kinds] = _template(row_kinds)
-            lines.append(template % row)
+               rows: Iterable[Iterable[Any]], kinds: tuple[type, ...]) -> None:
+    """Write the header and rows as CSV.  Every row's cells have the types
+    `kinds`, and one % template formats each row: "%.12g" (the text of
+    _fmt) for a float cell, "%s" (str) for any other."""
+    template = ",".join(["%.12g" if issubclass(kind, float) else "%s"
+                         for kind in kinds])
+    lines = [",".join(header)] + [template % tuple(row) for row in rows]
     _write_text(out_dir, name, "\n".join(lines) + "\n")
 
 
@@ -300,10 +281,12 @@ def _cmd_hopf_curve(cfg: RunConfig) -> int:
     points = hopf_points_in_r(p.alpha, p.gamma)
     star = r_star(p.alpha)
     _write_csv(cfg.out_dir, "hopf_margin.csv", ["r", "oscillation_margin"],
-               [[r, hopf_margin(replace(p, r=r))] for r in rs])
+               [[r, hopf_margin(replace(p, r=r))] for r in rs],
+               (float, float))
     _write_csv(cfg.out_dir, "hopf_points.csv",
                ["r", "transversality_sign"],
-               [[pt.r, pt.transversality_sign] for pt in points])
+               [[pt.r, pt.transversality_sign] for pt in points],
+               (float, int))
     _write_json(cfg.out_dir, "hopf_report.json", {
         "alpha": p.alpha, "gamma": p.gamma, "r_star": star,
         "points": [{"r": pt.r, "transversality_sign": pt.transversality_sign}
@@ -325,7 +308,8 @@ def _cmd_turing_curve(cfg: RunConfig) -> int:
     resolution = cfg.options["resolution"]
     pts = turing_curve((amin, amax), p.d, resolution)
     _write_csv(cfg.out_dir, "turing_curve.csv", ["alpha", "r", "branch"],
-               [[pt.alpha, pt.r, pt.branch] for pt in pts])
+               [[pt.alpha, pt.r, pt.branch] for pt in pts],
+               (float, float, int))
     _write_json(cfg.out_dir, "turing_report.json", {
         "d": p.d, "alpha_range": [amin, amax], "resolution": resolution,
         "points": len(pts)})
@@ -342,7 +326,7 @@ def _cmd_tau_star(cfg: RunConfig) -> int:
     _write_csv(cfg.out_dir, "critical_delays.csv",
                ["n", "j", "omega", "tau", "transversality"],
                [[hp.n, hp.j, hp.omega, hp.tau_crit, hp.transversality]
-                for hp in ts.crossings])
+                for hp in ts.crossings], (int, int, float, float, float))
     _write_json(cfg.out_dir, "tau_star_report.json", {
         "tau_star": ts.tau, "critical_mode": ts.n0, "omega": ts.omega,
         "crossing_modes": list(ts.s0)})
@@ -359,7 +343,7 @@ def _cmd_normal_form(cfg: RunConfig) -> int:
     payload = {
         "tau_star": ts.tau, "critical_mode": ts.n0, "omega": ts.omega,
         "eigenpair": {"q1": ep.q1, "q2": ep.q2, "m_norm": ep.m_norm},
-        "g20": hc.g20, "g11": hc.g11, "g02": hc.g02, "g21": hc.g21,
+        "g20": cm.g20, "g11": cm.g11, "g02": cm.g02, "g21": hc.g21,
         "c1": hc.c1, "mu2": hc.mu2, "beta2": hc.beta2, "t2": hc.t2,
         "direction": hc.direction, "orbit_stability": hc.orbit_stability,
         "period_trend": hc.period_trend,
@@ -446,7 +430,7 @@ def _cmd_simulate(cfg: RunConfig) -> int:
                fm.max(axis=1), lyapunov_value(fm, fa, p, grid))
     _write_csv(cfg.out_dir, "timeseries.csv",
                ["t", "mean_m", "mean_a", "min_m", "max_m", "energy"],
-               zip(*(c.tolist() for c in columns)), kinds=(float,) * 6)
+               zip(*(c.tolist() for c in columns)), (float,) * 6)
 
     # Every grid point of every len(times)//200-th frame, one per row;
     # each time and each point is formatted once.
@@ -457,7 +441,7 @@ def _cmd_simulate(cfg: RunConfig) -> int:
     _write_csv(cfg.out_dir, "fields.csv", ["t", "x", "m", "a"],
                zip([t for t in ts for _ in xs], xs * len(ts),
                    fm[ks].ravel().tolist(), fa[ks].ravel().tolist()),
-               kinds=(str, str, float, float))
+               (str, str, float, float))
 
     _write_json(cfg.out_dir, "orbit_summary.json", {
         "is_periodic": summary.is_periodic, "period": summary.period,
@@ -490,11 +474,12 @@ def _cmd_sweep(cfg: RunConfig) -> int:
         s = pt.summary
         rows.append([pt.r, "yes" if s.is_periodic else "no",
                      _fmt(s.period) if s.period else "",
-                     s.amplitude_m[0], s.amplitude_m[1], ""])
+                     _fmt(s.amplitude_m[0]), _fmt(s.amplitude_m[1]), ""])
         if s.is_periodic:
             oscillating.append(pt.r)
     _write_csv(cfg.out_dir, "sweep.csv",
-               ["r", "periodic", "period", "m_min", "m_max", "error"], rows)
+               ["r", "periodic", "period", "m_min", "m_max", "error"], rows,
+               (float,) + (str,) * 5)
     window = ([min(oscillating), max(oscillating)] if oscillating else None)
     _write_json(cfg.out_dir, "sweep_report.json", {
         "r_range": [r_min, r_max], "r_steps": r_steps,
@@ -514,7 +499,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
                           cfg.options["draws"])
     rows = [[c.name, "pass" if c.ok else "FAIL", c.detail] for c in checks]
     _write_csv(cfg.out_dir, "verify_matrix.csv",
-               ["check", "status", "detail"], rows)
+               ["check", "status", "detail"], rows, (str,) * 3)
     for name, status, detail in rows:
         print(f"{status}  {name}: {detail}")
     if not all(c.ok for c in checks):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from typing import NamedTuple, Optional
 
 from .exceptions import HypothesisError, NumericalError
@@ -102,6 +103,11 @@ def _crossing(p: ModelParams, n: int) -> Optional[HopfPoint]:
     (cos, sin) pair of the crossing condition, in [0, 2*pi)."""
     _, t_n, m_n, d_n, b, script_t = delay_char_coeffs(p, n)
     if script_t <= 0.0:
+        if t_n * t_n < sys.float_info.min:
+            # script_t <= t_n**2, which has lost its digits to underflow.
+            raise NumericalError(
+                f"mode {n}: quartic middle coefficient underflows "
+                f"(t_n = {t_n:.3e}, whose square is below the normal range)")
         raise HypothesisError(
             f"mode {n}: quartic middle coefficient is not positive "
             "(homogeneous mode is not delay-free stable)"
@@ -145,7 +151,7 @@ def mode_ceiling(p: ModelParams) -> int:
     admits no crossing.  u_plus is taken in its cancellation-free form.
     """
     eq = positive_equilibrium(p)
-    b = p.d * (p.alpha + eq.m) + eq.delayed_self
+    b = p.d * (p.alpha + eq.m) + delayed_self_term(eq.m)
     c = delay_char_coeffs(p, 0).m_n
     u_plus = 2.0 * c / (b + math.sqrt(b * b + 4.0 * p.d * c))
     n = math.ceil(p.l * math.sqrt(u_plus))

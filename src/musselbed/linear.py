@@ -166,7 +166,7 @@ def char_coeffs_no_delay(p: ModelParams, n: int) -> SpectralCoeffsNoDelay:
     g, d0 = _detcoeffs(p.alpha, p.r, p.d)
     ksq = p.wavenumber_sq(n)
     t_tilde = (p.alpha + eq.m + (1.0 + p.gamma * p.d) * ksq
-               - p.gamma * eq.delayed_self)
+               - p.gamma * delayed_self_term(eq.m))
     d_tilde = p.d * ksq ** 2 + g * ksq + d0
     return SpectralCoeffsNoDelay(n, t_tilde, d_tilde)
 
@@ -216,17 +216,24 @@ def hopf_points_in_r(alpha: float, gamma: float) -> list[RHopfPoint]:
     Finds the roots of hopf_margin in r on (1, 1/alpha) by a dense
     sign-scan followed by bisection.  Points coinciding with r_star (where
     the crossing speed vanishes) are excluded.  Returns the empty list when
-    the trace never changes sign.
+    the trace never changes sign.  Raises NumericalError when gamma*(r - 1),
+    which rho0 divides by, underflows to 0 at the window's low end; it
+    grows with r, so it is then positive across the window.
     """
     if not 0.0 < alpha < 1.0:
         raise HypothesisError(f"hopf_points_in_r needs 0 < alpha < 1, got {alpha!r}")
+
+    lo, hi = _r_window(alpha)
+    if gamma * (lo - 1.0) == 0.0:
+        raise NumericalError(f"rho0 undefined: gamma*(r - 1) underflows to "
+                             f"0 at r = {lo!r}")
 
     def margin(r: float) -> float:
         return hopf_margin(ModelParams(r=r, alpha=alpha, gamma=gamma))
 
     rs = r_star(alpha)
     return [RHopfPoint(root, 1 if root < rs else -1)
-            for root in _scan_roots(margin, *_r_window(alpha))
+            for root in _scan_roots(margin, lo, hi)
             if abs(root - rs) > 1e-9]
 
 

@@ -53,8 +53,12 @@ class ModelParams:
                 f"tau must be finite and nonnegative, got {self.tau!r}")
 
     def wavenumber_sq(self, n: int) -> float:
-        """Squared wave number (n/l)**2 of the n-th cosine mode."""
-        return (n / self.l) ** 2
+        """Squared wave number (n/l)**2 of the n-th cosine mode, inf where
+        it overflows, as it is where n/l itself does."""
+        try:
+            return (n / self.l) ** 2
+        except OverflowError:
+            return math.inf
 
 
 class Equilibrium(NamedTuple):
@@ -62,11 +66,6 @@ class Equilibrium(NamedTuple):
 
     m: float
     a: float
-
-    @property
-    def delayed_self(self) -> float:
-        """m/(1+m)^2, the derivative of dm/dt in the delayed m."""
-        return delayed_self_term(self.m)
 
 
 class HypothesisReport(NamedTuple):
@@ -129,7 +128,8 @@ def positive_equilibrium(p: ModelParams) -> Equilibrium:
 
 
 def delayed_self_term(m: float) -> float:
-    """m/(1+m)^2 at the mussel level m."""
+    """m/(1+m)^2 at the mussel level m, the derivative of dm/dt in the
+    delayed m."""
     return m / (1.0 + m) ** 2
 
 
@@ -151,13 +151,9 @@ def hopf_margin(p: ModelParams) -> float:
 
 
 def zero_mode_det(alpha: float, r: float, a: float) -> float:
-    """alpha*r*(r - 1)*a, from plain floats; a is the algae level a*."""
+    """alpha*r*(r - 1)*a, from plain floats; at the algae level a* it is
+    gamma times the kinetic Jacobian's determinant."""
     return alpha * r * (r - 1.0) * a
-
-
-def zero_mode_determinant(p: ModelParams, eq: Equilibrium) -> float:
-    """alpha*r*(r - 1)*a*, gamma times the kinetic Jacobian's determinant."""
-    return zero_mode_det(p.alpha, p.r, eq.a)
 
 
 def check_hypotheses(p: ModelParams) -> HypothesisReport:
@@ -166,7 +162,7 @@ def check_hypotheses(p: ModelParams) -> HypothesisReport:
     h2 is delta0(r)^2 - rho0(r) < 0.  h3 holds when either
     d*gamma*rho0 - delta0^2 > 0, or that quantity is negative and
     (d*gamma*rho0 - delta0^2)^2 - 4*d*D0/m*^2 < 0, where D0 is
-    zero_mode_determinant.
+    zero_mode_det at the coexistence state.
 
     Boundary cases (equalities) are reported false.  When r <= 1 makes
     rho0 undefined, or the coexistence state is missing, h2/h3 are
@@ -207,7 +203,7 @@ def check_hypotheses(p: ModelParams) -> HypothesisReport:
         return HypothesisReport(h1, h2, False, tuple(details))
 
     eq = positive_equilibrium(p)
-    d_tilde_0 = zero_mode_determinant(p, eq)
+    d_tilde_0 = zero_mode_det(p.alpha, p.r, eq.a)
     spread = p.d * p.gamma * r0 - d0 * d0
     details.append(("d*gamma*rho0 - delta0^2", spread))
     m_sq = eq.m * eq.m

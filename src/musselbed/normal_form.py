@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from .delay import TauStar, char_residual, eigenvalue_slope, tau_star
 from .exceptions import NumericalError
-from .model import ModelParams, positive_equilibrium
+from .model import ModelParams, delayed_self_term, positive_equilibrium
 
 _RESIDUAL_TOL = 1e-8
 # Genuine branch or sign errors violate the pairing identity at O(1);
@@ -122,11 +122,9 @@ class CenterManifoldTerms(NamedTuple):
 
 class HopfCoefficients(NamedTuple):
     """Normal-form constants and the resulting orbit classification,
-    with the crossing, eigenpair and manifold terms they were built from."""
+    with the crossing, eigenpair and manifold terms they were built from;
+    the quadratic constants g20, g11 and g02 are the manifold's."""
 
-    g20: complex
-    g11: complex
-    g02: complex
     g21: complex
     c1: complex
     mu2: float
@@ -165,7 +163,8 @@ def eigenpair(p: ModelParams, n0: int, omega: float, tau: float) -> Eigenpair:
         raise NumericalError("adjoint eigenvector undefined: gamma*r*m* "
                              "underflows to 0")
     q2 = shift / coupling
-    denom = (q1 + q2) + tau * q2 * (eq.delayed_self + q1 * p.r * eq.m) * rot
+    j_mm = delayed_self_term(eq.m)
+    denom = (q1 + q2) + tau * q2 * (j_mm + q1 * p.r * eq.m) * rot
     if abs(denom) < _DET_GUARD:
         raise NumericalError("degenerate eigenvector normalization")
     m_norm = 1.0 / denom
@@ -174,7 +173,7 @@ def eigenpair(p: ModelParams, n0: int, omega: float, tau: float) -> Eigenpair:
     wt = omega * tau
     q1c = q1.conjugate()
     cross = m_norm * ((q2 + q1c) + tau * q2
-                      * (eq.delayed_self + q1c * p.r * eq.m)
+                      * (j_mm + q1c * p.r * eq.m)
                       * math.sin(wt) / wt)
     if abs(cross) > _PAIRING_TOL:
         raise NumericalError(
@@ -208,10 +207,10 @@ def _quadratic_brackets(p: ModelParams, ep: Eigenpair,
     c2, c3 = ex.uu_cross, -ex.uu_delay
     em = cmath.exp(-1j * ep.omega * ep.tau_star)
     q1 = ep.q1
-    f20 = (2 * p.r * q1 * em + 2 * c2 * em - 2 * c3 * em ** 2,
-           -2.0 * q1 / p.gamma)
-    f11 = (complex(2 * (p.r * q1 * em + c2 * em).real - 2 * c3),
-           -(q1 + q1.conjugate()) / p.gamma)
+    f20 = (2 * ex.uv_delay * q1 * em + 2 * c2 * em - 2 * c3 * em ** 2,
+           2.0 * ex.uv_now * q1 / p.gamma)
+    f11 = (complex(2 * (ex.uv_delay * q1 * em + c2 * em).real - 2 * c3),
+           ex.uv_now * (q1 + q1.conjugate()) / p.gamma)
     f02 = (f20[0].conjugate(), f20[1].conjugate())
     return f20, f11, f02
 
@@ -262,6 +261,7 @@ def center_manifold_terms(p: ModelParams, ep: Eigenpair
     never regularized.
     """
     eq = positive_equilibrium(p)
+    j_mm = delayed_self_term(eq.m)
     tau = ep.tau_star
     wt = ep.omega * tau
     cube, quart, weights = _mode_integrals(p, ep.n0)
@@ -275,7 +275,7 @@ def center_manifold_terms(p: ModelParams, ep: Eigenpair
         """s - tau * L_n(e^{-s}): mode n's linear system at frequency s."""
         ksq = p.wavenumber_sq(n)
         decay = cmath.exp(-s)
-        return ((s - tau * (eq.delayed_self * decay - p.d * ksq),
+        return ((s - tau * (j_mm * decay - p.d * ksq),
                  -(tau * (p.r * eq.m * decay))),
                 (tau * (eq.a / p.gamma),
                  s - tau * ((-(p.alpha + eq.m) - ksq) / p.gamma)))
@@ -320,15 +320,16 @@ def center_manifold_terms(p: ModelParams, ep: Eigenpair
     q1, q1c = ep.q1, ep.q1.conjugate()
 
     q1_term = ep.q2 * (6.0 * c4 * em - 2.0 * c5 * (2.0 + em ** 2))
-    q2_term = (ep.q2 * (p.r * (2.0 * w11_m1[1] + w20_m1[1]
+    q2_term = (ep.q2 * (ex.uv_delay * (2.0 * w11_m1[1] + w20_m1[1]
                                + q1c * epl * w20_0[0]
                                + 2.0 * q1 * em * w11_0[0])
                         + c2 * (2.0 * w11_m1[0] + w20_m1[0]
                                 + epl * w20_0[0] + 2.0 * em * w11_0[0])
                         - 2.0 * c3 * (2.0 * em * w11_m1[0]
                                       + epl * w20_m1[0]))
-               - (1.0 / p.gamma) * (2.0 * w11_0[1] + w20_0[1]
-                                    + q1c * w20_0[0] + 2.0 * q1 * w11_0[0]))
+               + (ex.uv_now / p.gamma) * (2.0 * w11_0[1] + w20_0[1]
+                                          + q1c * w20_0[0]
+                                          + 2.0 * q1 * w11_0[0]))
 
     return CenterManifoldTerms(
         g20=g20, g11=g11, g02=g02,
@@ -361,7 +362,7 @@ def hopf_coefficients(p: ModelParams) -> HopfCoefficients:
     beta2 = 2.0 * c1.real
     t2 = -(c1.imag + mu2 * (ep.omega + ep.tau_star * slope.imag)) / wt
     return HopfCoefficients(
-        g20=g20, g11=g11, g02=g02, g21=g21, c1=c1,
+        g21=g21, c1=c1,
         mu2=mu2, beta2=beta2, t2=t2,
         direction="forward" if mu2 > 0 else "backward",
         orbit_stability="stable" if beta2 < 0 else "unstable",

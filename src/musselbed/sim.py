@@ -383,11 +383,9 @@ def _step_arrays(lanes: Sequence[ModelParams], hist: np.ndarray,
       temporaries are allocated once per run, and written with out=.
     - The guard check takes one maximum of the state's bit patterns read
       as unsigned integers, which passes every state in [+0, the least
-      algae bound] with no NaN.  Only when that fails does it take the
-      minimum and the maximum of the whole state; when some value passes
-      the least algae bound, the maximum of each species (m against the
-      blow-up level, a against that bound), then of each row only when
-      that fails too, and each row's minimum only when it trips.
+      algae bound] with no NaN.  Only when that fails does it check the
+      state's minimum and each row's maximum against its ceiling, and
+      each row's minimum only when that trips.
     """
     p = lanes[0]
     n_lanes = len(lanes)
@@ -398,11 +396,11 @@ def _step_arrays(lanes: Sequence[ModelParams], hist: np.ndarray,
     # Each row's ceilings (blow-up for m, the algae bound for a); a state
     # no higher than the least of them passes them all.
     limits = np.array([[_BLOWUP] * n_lanes, a_bound])
-    ceiling = min(a_bound)
-    # Read as unsigned integers, the bit patterns of +0 up to ceiling are
-    # exactly those no higher than ceiling's: a set sign bit (any negative
-    # value, -0.0 too) or a NaN reads higher.
-    bits, ceiling_bits = y.view(np.uint64), np.float64(ceiling).view(np.uint64)
+    # Read as unsigned integers, the bit patterns of +0 up to the least
+    # ceiling are exactly those no higher than its: a set sign bit (any
+    # negative value, -0.0 too) or a NaN reads higher.
+    bits = y.view(np.uint64)
+    ceiling_bits = np.float64(min(a_bound)).view(np.uint64)
     errors: list[Optional[NumericalError]] = [None] * n_lanes
     # Ring slots per window of the delayed factor: the whole ring but for
     # a long one, whose copy could outgrow the storage limit.
@@ -496,9 +494,7 @@ def _step_arrays(lanes: Sequence[ModelParams], hist: np.ndarray,
 
         if not (bits.max() <= ceiling_bits
                 or (y.min() >= _NEGATIVITY
-                    and (y.max() <= ceiling
-                         or (m.max() <= _BLOWUP and a.max() <= ceiling)
-                         or (y.max(axis=-1) <= limits).all()))):
+                    and (y.max(axis=-1) <= limits).all())):
             if grid is not None and not np.isfinite(y).all():
                 # In the block solve 0 * inf is NaN, so a non-finite value
                 # reaches every row: solve the step again from the same

@@ -250,44 +250,25 @@ def bilinear_pairing_quadrature(p: ModelParams, q1: complex, q2: complex,
     return head + np.trapezoid(integrand, xs)
 
 
-def _region_row(alpha: float, r_values: np.ndarray, d: float,
-                gamma: float) -> list[str]:
-    """Classify one alpha-row of the plane by direct sign evaluation."""
-    labels = []
-    window: Optional[tuple[float, float]] = None
-    if 0.0 < alpha < 1.0:
-        r_hi = 1.0 / alpha
-        scan = np.linspace(1.0 + 1e-6, r_hi - 1e-6, 400)
-        m_eq = alpha * (scan - 1.0) / (1.0 - alpha * scan)
-        a_eq = alpha / (alpha + m_eq)
-        g = d * alpha / a_eq - scan ** 2 * a_eq ** 2 * m_eq
-        det0 = alpha * scan * (scan - 1.0) * a_eq
-        lam_disc = g * g - 4.0 * d * det0
-        inside = (g < 0.0) & (lam_disc > 0.0)
-        if np.any(inside):
-            window = (float(scan[inside][0]), float(scan[inside][-1]))
-    for r in r_values:
-        if not (0.0 < alpha < 1.0 < r < 1.0 / alpha):
-            labels.append("non-H1")
-            continue
-        m_eq = alpha * (r - 1.0) / (1.0 - alpha * r)
-        a_eq = alpha / (alpha + m_eq)
-        trace0 = alpha / a_eq - gamma * r ** 2 * a_eq ** 2 * m_eq
-        if trace0 <= 0.0:
-            labels.append("hopf")
-            continue
-        g = d * alpha / a_eq - r ** 2 * a_eq ** 2 * m_eq
-        det0 = alpha * r * (r - 1.0) * a_eq
-        lam_disc = g * g - 4.0 * d * det0
-        if g >= 0.0:
-            labels.append("T_d")
-        elif lam_disc > 0.0:
-            labels.append("T_b")
-        elif window is not None and r > window[0]:
-            labels.append("T_c")
-        else:
-            labels.append("T_a")
-    return labels
+def _band_signs(alpha, r, d: float) -> tuple[np.ndarray, ...]:
+    """m*, a*, the band slope g and its discriminant at (alpha, r),
+    elementwise."""
+    m_eq = alpha * (r - 1.0) / (1.0 - alpha * r)
+    a_eq = alpha / (alpha + m_eq)
+    g = d * alpha / a_eq - r ** 2 * a_eq ** 2 * m_eq
+    det0 = alpha * r * (r - 1.0) * a_eq
+    return m_eq, a_eq, g, g * g - 4.0 * d * det0
+
+
+def _window_start(alpha: float, d: float) -> float:
+    """The first r of a 400-point scan of (1, 1/alpha) inside the pattern
+    window (g < 0 with a positive discriminant), or inf if none is."""
+    if not 0.0 < alpha < 1.0:
+        return math.inf
+    scan = np.linspace(1.0 + 1e-6, 1.0 / alpha - 1e-6, 400)
+    _, _, g, lam_disc = _band_signs(alpha, scan, d)
+    inside = scan[(g < 0.0) & (lam_disc > 0.0)]
+    return inside[0] if inside.size else math.inf
 
 
 def grid_classify(alpha_range: tuple[float, float],
@@ -298,12 +279,19 @@ def grid_classify(alpha_range: tuple[float, float],
     Labels: T_a (stable, below the pattern window), T_b (pattern
     forming), T_c (stable, above it), T_d (no band minimum at positive
     wave number), hopf (homogeneous oscillatory instability), non-H1.
+    Every cell is classified at once, by direct sign evaluation.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     alphas = np.linspace(alpha_range[0], alpha_range[1], resolution)
     rs = np.linspace(r_range[0], r_range[1], resolution)
-    labels = np.empty((resolution, resolution), dtype=object)
-    for i, alpha in enumerate(alphas):
-        labels[i, :] = _region_row(float(alpha), rs, d, gamma)
-    return RegionMap(alphas=alphas, rs=rs, labels=labels)
+    a = alphas[:, None]
+    starts = np.array([[_window_start(alpha, d)] for alpha in alphas.tolist()])
+    with np.errstate(all="ignore"):   # a cell outside h1 is non-H1 anyway
+        m_eq, a_eq, g, lam_disc = _band_signs(a, rs, d)
+        trace0 = a / a_eq - gamma * rs ** 2 * a_eq ** 2 * m_eq
+        h1 = (0.0 < a) & (a < 1.0) & (1.0 < rs) & (rs < 1.0 / a)
+    labels = np.select(
+        [~h1, trace0 <= 0.0, g >= 0.0, lam_disc > 0.0, rs > starts],
+        ["non-H1", "hopf", "T_d", "T_b", "T_c"], "T_a")
+    return RegionMap(alphas=alphas, rs=rs, labels=labels.astype(object))

@@ -283,25 +283,18 @@ def test_repeated_runs_are_byte_identical(tmp_path):
 
 
 def test_csv_rows_format_each_cell_by_the_per_cell_rule(tmp_path):
-    # Floats print as f"{x:.12g}"; every other cell, bool and numpy scalar
+    # A cell of a declared float column prints as f"{x:.12g}", numpy
+    # floats included; a cell of any other column, bool and numpy integer
     # types included, prints as str(x).
     special = [-0.0, math.inf, -math.inf, math.nan, 1e16, 5e-324,
-               2.2250738585072014e-308, 0.1, 1.0 / 3.0, np.float64(2.0 / 3.0)]
-    rows = [special[:4], special[4:8], [special[8], special[9], 1, True],
-            [False, "", "text", np.int64(7)], [0, None, 1e-5, -2.5e300]]
-    rows += rows
-    cli._write_csv(str(tmp_path), "mixed.csv", ["a", "b", "c", "d"], rows)
-    want = ["a,b,c,d"] + [
-        ",".join(f"{x:.12g}" if isinstance(x, float) else str(x) for x in row)
-        for row in rows]
-    assert (tmp_path / "mixed.csv").read_text() == "\n".join(want) + "\n"
-    # Rows of one declared tuple of types take the same text.
-    uniform = [("t", x, -x) for x in special[:8]]
-    cli._write_csv(str(tmp_path), "uniform.csv", ["a", "b", "c"], uniform,
-                   kinds=(str, float, float))
-    cli._write_csv(str(tmp_path), "looked-up.csv", ["a", "b", "c"], uniform)
-    assert ((tmp_path / "uniform.csv").read_text()
-            == (tmp_path / "looked-up.csv").read_text())
+               2.2250738585072014e-308, 0.1, 1.0 / 3.0, np.float64(2.0 / 3.0),
+               1e-5, -2.5e300]
+    other = [1, True, False, "", "text", np.int64(7), None, 0]
+    rows = [(x, cell, -x) for x, cell in zip(special, other * 2)]
+    cli._write_csv(str(tmp_path), "cells.csv", ["a", "b", "c"], rows,
+                   (float, object, float))
+    want = ["a,b,c"] + [f"{x:.12g},{cell},{y:.12g}" for x, cell, y in rows]
+    assert (tmp_path / "cells.csv").read_text() == "\n".join(want) + "\n"
 
 
 def test_simulate_fields_hold_every_point_of_every_strided_frame(tmp_path):
@@ -491,12 +484,26 @@ def test_main_reports_a_parse_error_as_the_full_parser_does(
      EXIT_NUMERICAL,
      "error: adjoint eigenvector undefined: gamma*r*m* underflows to 0\n",
      None),
+    (["classify", *BASE, "--l", "1e-200"], EXIT_OK, "", None),
+    (["tau-star", *BASE, "--l", "1e-160"], EXIT_OK, "", None),
+    (["normal-form", *BASE, "--l", "1e-160"], EXIT_NUMERICAL,
+     "error: ill-conditioned quadratic solve, mode 0\n", None),
+    (["hopf-curve", "--alpha", "0.1", "--r", "2", "--gamma", "5e-324"],
+     EXIT_NUMERICAL, "error: rho0 undefined: gamma*(r - 1) underflows to 0 "
+     "at r = 1.000000001\n", None),
+    (["tau-star", "--alpha", "1e-300", "--r", "2", "--gamma", "1"],
+     EXIT_NUMERICAL, "error: mode 0: quartic middle coefficient underflows "
+     "(t_n = 2.000e-300, whose square is below the normal range)\n", None),
 ], ids=["delta0-overflow", "tau-star-delta0-overflow", "m-squared-underflow",
-        "rho0-underflow", "normal-form-gamma-underflow"])
+        "rho0-underflow", "normal-form-gamma-underflow",
+        "classify-wavenumber-overflow", "tau-star-wavenumber-overflow",
+        "normal-form-wavenumber-overflow", "hopf-curve-gamma-underflow",
+        "tau-star-script-t-underflow"])
 def test_an_overflow_or_underflow_ends_on_a_documented_exit(
         tmp_path, capsys, argv, code, err, reason):
     # Each of these ended in an OverflowError or ZeroDivisionError
-    # traceback.
+    # traceback, but for the last, which named an underflow as a failed
+    # hypothesis.
     assert _run([*argv, "--d", "1", "--out", str(tmp_path)]) == code
     assert capsys.readouterr().err == err
     if reason is not None:

@@ -17,7 +17,7 @@ from scipy.optimize import bisect
 from musselbed import (HypothesisError, ModelParams, check_hypotheses,
                        delta0, hypothesis_h1, positive_equilibrium,
                        reaction_rhs, rho0)
-from musselbed.model import zero_mode_determinant
+from musselbed.model import delayed_self_term, zero_mode_det
 
 
 def _seeded_admissible_params(count: int, seed: int = 471):
@@ -143,6 +143,11 @@ def test_wavenumber_squared():
     p = ModelParams(r=2.0, alpha=0.1, gamma=0.5, l=2.0)
     assert p.wavenumber_sq(0) == 0.0
     assert p.wavenumber_sq(3) == pytest.approx(2.25, rel=1e-15)
+    # Where (n/l)**2 overflows it is inf, as where n/l itself does.
+    for l in (1e-200, 1e-310):
+        tiny = ModelParams(r=2.0, alpha=0.1, gamma=0.5, l=l)
+        assert tiny.wavenumber_sq(0) == 0.0
+        assert tiny.wavenumber_sq(1) == math.inf
 
 
 def test_hypothesis_report_on_reference_parameters():
@@ -202,8 +207,9 @@ def test_linearization_entries_match_the_symbolic_jacobian():
                                for x, xd in ((m, md), (a, ad))]
                               for f in rates]).subs(at_eq)
         delayed = sp.diff(rates[0], md).subs(at_eq)
-        assert eq.delayed_self == pytest.approx(float(delayed), rel=1e-14)
+        assert delayed_self_term(eq.m) == pytest.approx(float(delayed),
+                                                        rel=1e-14)
         assert p.alpha + eq.m == pytest.approx(
             float(-exact.gamma * jacobian[1, 1]), rel=1e-14)
-        assert zero_mode_determinant(p, eq) == pytest.approx(
+        assert zero_mode_det(p.alpha, p.r, eq.a) == pytest.approx(
             float(exact.gamma * jacobian.det()), rel=1e-14)

@@ -218,9 +218,9 @@ def test_manifold_correction_solves_rechecked_externally():
 
 def test_reference_lyapunov_constants():
     hc = hopf_coefficients(REFERENCE)
-    assert hc.g20 == pytest.approx(REF_G20, abs=1e-9)
-    assert hc.g11 == pytest.approx(REF_G11, abs=1e-9)
-    assert hc.g02 == pytest.approx(REF_G02, abs=1e-9)
+    assert hc.manifold.g20 == pytest.approx(REF_G20, abs=1e-9)
+    assert hc.manifold.g11 == pytest.approx(REF_G11, abs=1e-9)
+    assert hc.manifold.g02 == pytest.approx(REF_G02, abs=1e-9)
     assert hc.g21 == pytest.approx(REF_G21, abs=1e-8)
     assert hc.c1 == pytest.approx(REF_C1, abs=1e-8)
     assert hc.mu2 == pytest.approx(REF_MU2, abs=1e-6)
@@ -237,7 +237,8 @@ def test_reference_lyapunov_constants():
     assert hc.eigenpair == ep
     assert (hc.manifold.q1_term, hc.manifold.q2_term) == (cm.q1_term,
                                                           cm.q2_term)
-    assert (hc.g20, hc.g11, hc.g02) == (cm.g20, cm.g11, cm.g02)
+    assert ((hc.manifold.g20, hc.manifold.g11, hc.manifold.g02)
+            == (cm.g20, cm.g11, cm.g02))
 
 
 def test_hopf_coefficients_runs_each_manifold_stage_once(monkeypatch):
@@ -258,9 +259,10 @@ def test_hopf_coefficients_runs_each_manifold_stage_once(monkeypatch):
 
 def test_lyapunov_constant_assembles_from_projections():
     hc = hopf_coefficients(REFERENCE)
+    cm = hc.manifold
     rebuilt = (1j / (2.0 * REF_OMEGA * REF_TAU)
-               * (hc.g20 * hc.g11 - 2.0 * abs(hc.g11) ** 2
-                  - abs(hc.g02) ** 2 / 3.0)
+               * (cm.g20 * cm.g11 - 2.0 * abs(cm.g11) ** 2
+                  - abs(cm.g02) ** 2 / 3.0)
                + hc.g21 / 2.0)
     assert hc.c1 == pytest.approx(rebuilt, abs=1e-12)
 
