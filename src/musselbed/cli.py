@@ -51,15 +51,6 @@ class CliError(Exception):
         self.code = code
 
 
-class RunConfig(NamedTuple):
-    """Everything one invocation needs: command, parameters, options."""
-
-    command: str
-    params: ModelParams
-    options: dict[str, Any]
-    out_dir: str = "."
-
-
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
@@ -171,7 +162,7 @@ class _Command(NamedTuple):
     option is a switch.  A None default is worked out by the command
     itself (from the coexistence state, or by the callee)."""
 
-    handler: Callable[[RunConfig], int]
+    handler: Callable[[ModelParams, dict[str, Any], str], None]
     help: str
     options: dict[str, tuple[type, Any]]
 
@@ -236,10 +227,9 @@ def _resolve_options(command: str, config: dict[str, Any],
     return options
 
 
-def _cmd_classify(cfg: RunConfig) -> int:
+def _cmd_classify(p: ModelParams, opts: dict[str, Any], out: str) -> None:
     from .linear import boundary_stability, turing_analysis
 
-    p = cfg.params
     report = check_hypotheses(p)
     payload: dict[str, Any] = {
         "params": {k: getattr(p, k) for k in _PARAM_FIELDS},
@@ -267,27 +257,24 @@ def _cmd_classify(cfg: RunConfig) -> int:
         lines.append(f"coexistence state: m* = {_fmt(eq.m)}, "
                      f"a* = {_fmt(eq.a)}")
         lines.append(f"spatial stability verdict: {turing.verdict}")
-    _write_json(cfg.out_dir, "classify_report.json", payload)
+    _write_json(out, "classify_report.json", payload)
     print("\n".join(lines))
-    return EXIT_OK
 
 
-def _cmd_hopf_curve(cfg: RunConfig) -> int:
+def _cmd_hopf_curve(p: ModelParams, opts: dict[str, Any], out: str) -> None:
     from .linear import hopf_points_in_r, r_star
 
-    p = cfg.params
-    rs = _grid(1.0 + 1e-9, 1.0 / p.alpha - 1e-9, cfg.options["samples"],
+    rs = _grid(1.0 + 1e-9, 1.0 / p.alpha - 1e-9, opts["samples"],
                "--samples")
     points = hopf_points_in_r(p.alpha, p.gamma)
     star = r_star(p.alpha)
-    _write_csv(cfg.out_dir, "hopf_margin.csv", ["r", "oscillation_margin"],
+    _write_csv(out, "hopf_margin.csv", ["r", "oscillation_margin"],
                [[r, hopf_margin(replace(p, r=r))] for r in rs],
                (float, float))
-    _write_csv(cfg.out_dir, "hopf_points.csv",
-               ["r", "transversality_sign"],
+    _write_csv(out, "hopf_points.csv", ["r", "transversality_sign"],
                [[pt.r, pt.transversality_sign] for pt in points],
                (float, int))
-    _write_json(cfg.out_dir, "hopf_report.json", {
+    _write_json(out, "hopf_report.json", {
         "alpha": p.alpha, "gamma": p.gamma, "r_star": star,
         "points": [{"r": pt.r, "transversality_sign": pt.transversality_sign}
                    for pt in points]})
@@ -296,49 +283,42 @@ def _cmd_hopf_curve(cfg: RunConfig) -> int:
         print(f"oscillation onset values of r: {listing}")
     else:
         print("no oscillation onset in the admissible r range")
-    return EXIT_OK
 
 
-def _cmd_turing_curve(cfg: RunConfig) -> int:
+def _cmd_turing_curve(p: ModelParams, opts: dict[str, Any], out: str) -> None:
     from .linear import turing_curve
 
-    p = cfg.params
-    amin = cfg.options["alpha_min"]
-    amax = cfg.options["alpha_max"]
-    resolution = cfg.options["resolution"]
+    amin, amax = opts["alpha_min"], opts["alpha_max"]
+    resolution = opts["resolution"]
     pts = turing_curve((amin, amax), p.d, resolution)
-    _write_csv(cfg.out_dir, "turing_curve.csv", ["alpha", "r", "branch"],
+    _write_csv(out, "turing_curve.csv", ["alpha", "r", "branch"],
                [[pt.alpha, pt.r, pt.branch] for pt in pts],
                (float, float, int))
-    _write_json(cfg.out_dir, "turing_report.json", {
+    _write_json(out, "turing_report.json", {
         "d": p.d, "alpha_range": [amin, amax], "resolution": resolution,
         "points": len(pts)})
     print(f"pattern-onset curve: {len(pts)} points written")
-    return EXIT_OK
 
 
-def _cmd_tau_star(cfg: RunConfig) -> int:
+def _cmd_tau_star(p: ModelParams, opts: dict[str, Any], out: str) -> None:
     from .delay import tau_star
 
-    p = cfg.params
-    ts = tau_star(p, n_max=cfg.options["n_max"],
-                  j_max=cfg.options["j_max"])
-    _write_csv(cfg.out_dir, "critical_delays.csv",
+    ts = tau_star(p, n_max=opts["n_max"], j_max=opts["j_max"])
+    _write_csv(out, "critical_delays.csv",
                ["n", "j", "omega", "tau", "transversality"],
                [[hp.n, hp.j, hp.omega, hp.tau_crit, hp.transversality]
                 for hp in ts.crossings], (int, int, float, float, float))
-    _write_json(cfg.out_dir, "tau_star_report.json", {
+    _write_json(out, "tau_star_report.json", {
         "tau_star": ts.tau, "critical_mode": ts.n0, "omega": ts.omega,
         "crossing_modes": list(ts.s0)})
     print(f"first critical delay: tau* = {_fmt(ts.tau)} at mode {ts.n0}, "
           f"frequency {_fmt(ts.omega)}")
-    return EXIT_OK
 
 
-def _cmd_normal_form(cfg: RunConfig) -> int:
+def _cmd_normal_form(p: ModelParams, opts: dict[str, Any], out: str) -> None:
     from .normal_form import hopf_coefficients
 
-    hc = hopf_coefficients(cfg.params)
+    hc = hopf_coefficients(p)
     ts, ep, cm = hc.tau_star, hc.eigenpair, hc.manifold
     payload = {
         "tau_star": ts.tau, "critical_mode": ts.n0, "omega": ts.omega,
@@ -355,11 +335,10 @@ def _cmd_normal_form(cfg: RunConfig) -> int:
             "q1_term": cm.q1_term, "q2_term": cm.q2_term,
         },
     }
-    _write_json(cfg.out_dir, "normal_form_report.json", payload)
+    _write_json(out, "normal_form_report.json", payload)
     print(f"c1(0) = {_fmt(hc.c1.real)} {hc.c1.imag:+.12g}i; "
           f"bifurcation {hc.direction}, orbit {hc.orbit_stability}, "
           f"rescaled period {hc.period_trend}")
-    return EXIT_OK
 
 
 def _history_factory(p: ModelParams, amplitude: float, wavenumber: int):
@@ -402,12 +381,10 @@ print("wrote timeseries.png")
 """
 
 
-def _cmd_simulate(cfg: RunConfig) -> int:
+def _cmd_simulate(p: ModelParams, opts: dict[str, Any], out: str) -> None:
     from .sim import (Grid, _check_transient_fraction, detect_orbit,
                       lyapunov_value, simulate_ode, simulate_pde)
 
-    p = cfg.params
-    opts = cfg.options
     # Fail before the run, not after integrating it.
     _check_transient_fraction(opts["transient_fraction"])
     t_end, dt = opts["t_end"], opts["dt"]
@@ -428,7 +405,7 @@ def _cmd_simulate(cfg: RunConfig) -> int:
     fm, fa = traj.fields_m, traj.fields_a
     columns = (traj.times, fm.mean(axis=1), fa.mean(axis=1), fm.min(axis=1),
                fm.max(axis=1), lyapunov_value(fm, fa, p, grid))
-    _write_csv(cfg.out_dir, "timeseries.csv",
+    _write_csv(out, "timeseries.csv",
                ["t", "mean_m", "mean_a", "min_m", "max_m", "energy"],
                zip(*(c.tolist() for c in columns)), (float,) * 6)
 
@@ -438,29 +415,26 @@ def _cmd_simulate(cfg: RunConfig) -> int:
     xs = [_fmt(x) for x in (grid.x().tolist() if grid is not None
                             else [0.0])]
     ts = [_fmt(t) for t in traj.times[ks].tolist()]
-    _write_csv(cfg.out_dir, "fields.csv", ["t", "x", "m", "a"],
+    _write_csv(out, "fields.csv", ["t", "x", "m", "a"],
                zip([t for t in ts for _ in xs], xs * len(ts),
                    fm[ks].ravel().tolist(), fa[ks].ravel().tolist()),
                (str, str, float, float))
 
-    _write_json(cfg.out_dir, "orbit_summary.json", {
+    _write_json(out, "orbit_summary.json", {
         "is_periodic": summary.is_periodic, "period": summary.period,
         "amplitude_m": list(summary.amplitude_m),
         "amplitude_a": list(summary.amplitude_a),
         "spatial_inhomogeneity": summary.spatial_inhomogeneity,
         "dt": traj.dt, "t_end": t_end})
-    _write_text(cfg.out_dir, "plot_timeseries.py", _PLOT_SCRIPT)
+    _write_text(out, "plot_timeseries.py", _PLOT_SCRIPT)
     verdict = (f"periodic, period {_fmt(summary.period)}"
                if summary.is_periodic else "not periodic")
     print(f"run finished: {verdict}")
-    return EXIT_OK
 
 
-def _cmd_sweep(cfg: RunConfig) -> int:
+def _cmd_sweep(p: ModelParams, opts: dict[str, Any], out: str) -> None:
     from .sim import amplitude_sweep
 
-    p = cfg.params
-    opts = cfg.options
     r_min, r_max, r_steps = opts["r_min"], opts["r_max"], opts["r_steps"]
     table = amplitude_sweep(p, _grid(r_min, r_max, r_steps, "r_steps"),
                             t_end=opts["t_end"], dt=opts["dt"],
@@ -477,11 +451,11 @@ def _cmd_sweep(cfg: RunConfig) -> int:
                      _fmt(s.amplitude_m[0]), _fmt(s.amplitude_m[1]), ""])
         if s.is_periodic:
             oscillating.append(pt.r)
-    _write_csv(cfg.out_dir, "sweep.csv",
+    _write_csv(out, "sweep.csv",
                ["r", "periodic", "period", "m_min", "m_max", "error"], rows,
                (float,) + (str,) * 5)
     window = ([min(oscillating), max(oscillating)] if oscillating else None)
-    _write_json(cfg.out_dir, "sweep_report.json", {
+    _write_json(out, "sweep_report.json", {
         "r_range": [r_min, r_max], "r_steps": r_steps,
         "oscillation_window": window})
     if window:
@@ -489,22 +463,19 @@ def _cmd_sweep(cfg: RunConfig) -> int:
               f"[{_fmt(window[0])}, {_fmt(window[1])}]")
     else:
         print("no sustained oscillation found in the swept range")
-    return EXIT_OK
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
+def _cmd_verify(p: ModelParams, opts: dict[str, Any], out: str) -> None:
     from .checks import cross_checks
 
-    checks = cross_checks(cfg.params, cfg.options["spectrum_n"],
-                          cfg.options["draws"])
+    checks = cross_checks(p, opts["spectrum_n"], opts["draws"])
     rows = [[c.name, "pass" if c.ok else "FAIL", c.detail] for c in checks]
-    _write_csv(cfg.out_dir, "verify_matrix.csv",
-               ["check", "status", "detail"], rows, (str,) * 3)
+    _write_csv(out, "verify_matrix.csv", ["check", "status", "detail"],
+               rows, (str,) * 3)
     for name, status, detail in rows:
         print(f"{status}  {name}: {detail}")
     if not all(c.ok for c in checks):
         raise CliError(EXIT_NUMERICAL, "verification suite found mismatches")
-    return EXIT_OK
 
 
 _COMMANDS: dict[str, _Command] = {
@@ -584,23 +555,8 @@ def _build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
     return parser
 
 
-def run(cfg: RunConfig) -> int:
-    """Execute one configured command; returns the process exit code."""
-    try:
-        return _COMMANDS[cfg.command].handler(cfg)
-    except CliError:
-        raise
-    except HypothesisError as exc:
-        raise CliError(EXIT_HYPOTHESIS, str(exc)) from exc
-    except NumericalError as exc:
-        raise CliError(EXIT_NUMERICAL, str(exc)) from exc
-    except (ValueError, KeyError) as exc:
-        raise CliError(EXIT_USAGE, str(exc)) from exc
-    except MemoryError as exc:
-        raise CliError(EXIT_USAGE, str(exc) or "out of memory") from exc
-
-
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one command line; returns the process exit code."""
     if argv is None:
         argv = sys.argv[1:]
     # A call parses one command: build only its options.  Any other argv
@@ -614,13 +570,21 @@ def main(argv: Optional[list[str]] = None) -> int:
         for assignment in args.set:
             _apply_set(config, assignment)
         params = _build_params(config, args)
-        cfg = RunConfig(command=args.command, params=params,
-                        options=_resolve_options(args.command, config, args),
-                        out_dir=args.out)
-        return run(cfg)
+        _COMMANDS[args.command].handler(
+            params, _resolve_options(args.command, config, args), args.out)
+        return EXIT_OK
     except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        code, message = exc.code, str(exc)
+    except HypothesisError as exc:
+        code, message = EXIT_HYPOTHESIS, str(exc)
+    except NumericalError as exc:
+        code, message = EXIT_NUMERICAL, str(exc)
+    except (ValueError, KeyError) as exc:
+        code, message = EXIT_USAGE, str(exc)
+    except MemoryError as exc:
+        code, message = EXIT_USAGE, str(exc) or "out of memory"
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -113,6 +113,8 @@ def _crossing(p: ModelParams, n: int) -> Optional[HopfPoint]:
             "(homogeneous mode is not delay-free stable)"
         )
     gap = d_n * d_n - m_n * m_n
+    if math.isnan(gap):   # inf - inf: both squares overflow
+        gap = (d_n - m_n) * (d_n + m_n)
     if gap >= 0.0:
         if d_n + m_n <= 0.0:
             raise HypothesisError(

@@ -167,7 +167,10 @@ def char_coeffs_no_delay(p: ModelParams, n: int) -> SpectralCoeffsNoDelay:
     ksq = p.wavenumber_sq(n)
     t_tilde = (p.alpha + eq.m + (1.0 + p.gamma * p.d) * ksq
                - p.gamma * delayed_self_term(eq.m))
-    d_tilde = p.d * ksq ** 2 + g * ksq + d0
+    try:
+        d_tilde = p.d * ksq ** 2 + g * ksq + d0
+    except OverflowError:   # as ksq itself is inf where it overflows
+        d_tilde = math.inf
     return SpectralCoeffsNoDelay(n, t_tilde, d_tilde)
 
 
@@ -175,6 +178,9 @@ def eigenvalues_no_delay(p: ModelParams, n: int) -> tuple[complex, complex]:
     """The two roots of mode n's quadratic, plus-branch first."""
     c = char_coeffs_no_delay(p, n)
     disc = complex(c.t_tilde * c.t_tilde - 4.0 * p.gamma * c.d_tilde)
+    if math.isinf(disc.real):
+        raise NumericalError(f"mode {n}: discriminant t^2 - 4*gamma*d "
+                             f"overflows")
     root = disc ** 0.5
     return (
         (-c.t_tilde + root) / (2.0 * p.gamma),

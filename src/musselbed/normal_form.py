@@ -77,17 +77,6 @@ class NonlinearExpansion(NamedTuple):
     u_uu_delay: float
     uv_now: float
 
-    def evaluate(self, u_now: float, u_delay: float,
-                 v_now: float, v_delay: float) -> tuple[float, float]:
-        """Evaluate the truncated (cubic) kinetics at a deviation point."""
-        f1 = (self.uv_delay * u_now * v_delay
-              + self.uu_cross * u_now * u_delay
-              + self.uu_delay * u_delay ** 2
-              + self.uuu_delay * u_delay ** 3
-              + self.u_uu_delay * u_now * u_delay ** 2)
-        f2 = self.uv_now * u_now * v_now
-        return f1, f2
-
 
 class CenterManifoldTerms(NamedTuple):
     """Quadratic normal-form constants, manifold corrections and the
@@ -142,9 +131,10 @@ def eigenpair(p: ModelParams, n0: int, omega: float, tau: float) -> Eigenpair:
     """Center eigendirections of mode n0 at a verified imaginary crossing.
 
     Raises NumericalError when (i*omega, tau) is not actually a root of the
-    mode's characteristic function, when gamma*r*m* underflows to 0 (the
-    adjoint divides by it), or when the closed-form normalization fails
-    the pairing identity (q*, conj q) = 0.
+    mode's characteristic function, when gamma*r*m* or omega*tau
+    underflows to 0 (the adjoint and the reduction divide by them), or
+    when the closed-form normalization fails the pairing identity
+    (q*, conj q) = 0.
     """
     residual = char_residual(p, n0, 1j * omega, tau)
     if abs(residual) > _RESIDUAL_TOL:
@@ -171,6 +161,9 @@ def eigenpair(p: ModelParams, n0: int, omega: float, tau: float) -> Eigenpair:
     # (q*, q) = 1 holds by construction of m_norm; (q*, conj q) = 0 is
     # the identity left to check.
     wt = omega * tau
+    if wt == 0:
+        raise NumericalError(f"crossing phase omega*tau underflows to 0 "
+                             f"(omega = {omega:.3e}, tau = {tau:.3e})")
     q1c = q1.conjugate()
     cross = m_norm * ((q2 + q1c) + tau * q2
                       * (j_mm + q1c * p.r * eq.m)
@@ -233,7 +226,9 @@ def _solve(a: tuple[_Vec, _Vec], b: _Vec, singular: str,
     """x with a x = b by Gaussian elimination with partial pivoting (Cramer's
     rule is not backward stable: past tau* ~ 1e7 it trips _SOLVE_TOL).
     Raises NumericalError(singular) for |det a| < _DET_GUARD and
-    NumericalError(unstable) for a residual above _SOLVE_TOL."""
+    NumericalError(unstable) for a row whose residual exceeds _SOLVE_TOL
+    times the larger of 1 and the row's sum of absolute terms, as the
+    right-hand sides grow as 1/sqrt(l*pi)."""
     (a00, a01), (a10, a11) = a
     det = a00 * a11 - a01 * a10
     if abs(det) < _DET_GUARD:
@@ -243,7 +238,9 @@ def _solve(a: tuple[_Vec, _Vec], b: _Vec, singular: str,
     factor = l0 / u0
     x1 = (y1 - factor * y0) / (l1 - factor * u1)
     x0 = (y0 - u1 * x1) / u0
-    if max(abs(r0 * x0 + r1 * x1 - y) for r0, r1, y in rows) > _SOLVE_TOL:
+    if any(abs(r0 * x0 + r1 * x1 - y) > _SOLVE_TOL
+           * max(1.0, abs(r0) * abs(x0) + abs(r1) * abs(x1) + abs(y))
+           for r0, r1, y in rows):
         raise NumericalError(unstable)
     return x0, x1
 
@@ -352,9 +349,14 @@ def hopf_coefficients(p: ModelParams) -> HopfCoefficients:
     g20, g11, g02 = cm.g20, cm.g11, cm.g02
     g21 = ep.tau_star * ep.m_norm * (cm.q1_term * cm.quartic + cm.q2_term)
     wt = ep.omega * ep.tau_star
-    c1 = (1j / (2.0 * wt)
-          * (g20 * g11 - 2.0 * abs(g11) ** 2 - abs(g02) ** 2 / 3.0)
-          + g21 / 2.0)
+    try:
+        c1 = (1j / (2.0 * wt)
+              * (g20 * g11 - 2.0 * abs(g11) ** 2 - abs(g02) ** 2 / 3.0)
+              + g21 / 2.0)
+    except OverflowError as exc:
+        raise NumericalError(f"normal-form constants overflow: |g11| = "
+                             f"{abs(g11):.3e}, |g02| = {abs(g02):.3e}"
+                             ) from exc
     slope = eigenvalue_slope(p, ts.n0, 1j * ts.omega, ts.tau)
     if slope.real == 0.0:
         raise NumericalError("vanishing transversality at the crossing")

@@ -73,6 +73,10 @@ class Grid:
             raise ValueError("grid must have at least 16 intervals")
         if self.l <= 0:
             raise ValueError("domain scale must be positive")
+        if self.h * self.h < sys.float_info.min:
+            raise ValueError(f"grid spacing l*pi/n = {self.h:.3e} (l = "
+                             f"{self.l:.6g}, n = {self.n}) has a square "
+                             f"below the normal float range")
 
     @property
     def points(self) -> int:

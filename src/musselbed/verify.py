@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .exceptions import NumericalError
-from .model import ModelParams, positive_equilibrium
+from .model import ModelParams
 from .sim import Grid
 
 _NEWTON_TOL = 1e-12
@@ -260,17 +260,6 @@ def _band_signs(alpha, r, d: float) -> tuple[np.ndarray, ...]:
     return m_eq, a_eq, g, g * g - 4.0 * d * det0
 
 
-def _window_start(alpha: float, d: float) -> float:
-    """The first r of a 400-point scan of (1, 1/alpha) inside the pattern
-    window (g < 0 with a positive discriminant), or inf if none is."""
-    if not 0.0 < alpha < 1.0:
-        return math.inf
-    scan = np.linspace(1.0 + 1e-6, 1.0 / alpha - 1e-6, 400)
-    _, _, g, lam_disc = _band_signs(alpha, scan, d)
-    inside = scan[(g < 0.0) & (lam_disc > 0.0)]
-    return inside[0] if inside.size else math.inf
-
-
 def grid_classify(alpha_range: tuple[float, float],
                   r_range: tuple[float, float], d: float, gamma: float,
                   resolution: int = 50) -> RegionMap:
@@ -286,8 +275,14 @@ def grid_classify(alpha_range: tuple[float, float],
     alphas = np.linspace(alpha_range[0], alpha_range[1], resolution)
     rs = np.linspace(r_range[0], r_range[1], resolution)
     a = alphas[:, None]
-    starts = np.array([[_window_start(alpha, d)] for alpha in alphas.tolist()])
     with np.errstate(all="ignore"):   # a cell outside h1 is non-H1 anyway
+        # A row's pattern window starts at the first r of a 400-point scan
+        # of (1, 1/alpha) with g < 0 and a positive discriminant, if any.
+        scan = np.linspace(1.0 + 1e-6, 1.0 / alphas - 1e-6, 400, axis=-1)
+        _, _, g, lam_disc = _band_signs(a, scan, d)
+        inside = (g < 0.0) & (lam_disc > 0.0)
+        first = scan[np.arange(resolution), inside.argmax(axis=1)]
+        starts = np.where(inside.any(axis=1), first, np.inf)[:, None]
         m_eq, a_eq, g, lam_disc = _band_signs(a, rs, d)
         trace0 = a / a_eq - gamma * rs ** 2 * a_eq ** 2 * m_eq
         h1 = (0.0 < a) & (a < 1.0) & (1.0 < rs) & (rs < 1.0 / a)

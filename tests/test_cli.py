@@ -182,7 +182,7 @@ def test_simulate_rejects_a_bad_transient_fraction_before_integrating(
 
 
 def test_out_of_memory_is_a_usage_error(tmp_path, capsys, monkeypatch):
-    def exhausted(cfg):
+    def exhausted(*args):
         raise MemoryError("Unable to allocate 72.8 TiB for an array")
 
     command = cli._COMMANDS["hopf-curve"]
@@ -265,6 +265,47 @@ def test_params_entry_that_is_not_an_object_is_a_usage_error(
     assert err.startswith("error: config entry 'params' must be a JSON "
                           "object")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["--set", "foo"], None, "--set needs key=value, got 'foo'"),
+    (["--set", "params.r=2", "--set", "params.r.x=1"], None,
+     "--set path 'params.r.x' collides with a scalar"),
+    ([], [1, 2], "config {} must hold a JSON object at top level"),
+], ids=["set-without-value", "set-through-a-scalar", "config-list"])
+def test_a_malformed_config_or_set_is_a_usage_error(
+        tmp_path, capsys, argv, config, message):
+    cfg = tmp_path / "cfg.json"
+    if config is not None:
+        cfg.write_text(json.dumps(config))
+        argv = ["--config", str(cfg)]
+    out = tmp_path / "out"
+    code = _run(["classify", *BASE, *argv, "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message.format(cfg)}\n"
+    assert not out.exists()
+
+
+def test_an_out_path_under_a_file_is_an_io_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = _run(["classify", *BASE, "--out", str(blocker / "out")])
+    assert code == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write classify_report.json: ")
+    assert err.count("\n") == 1
+
+
+def test_sweep_reports_the_window_it_finds(tmp_path, capsys):
+    code = _run(["sweep", "--r", "1.4", "--alpha", "0.45", "--gamma", "8",
+                 "--d", "1", "--r-min", "1.3", "--r-max", "1.6",
+                 "--r-steps", "3", "--t-end", "1000", "--dt", "0.1",
+                 "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    assert capsys.readouterr().out == (
+        "sustained oscillation for r in [1.3, 1.6]\n")
+    report = json.loads((tmp_path / "sweep_report.json").read_text())
+    assert report["oscillation_window"] == [1.3, 1.6]
 
 
 def test_repeated_runs_are_byte_identical(tmp_path):
@@ -486,25 +527,51 @@ def test_main_reports_a_parse_error_as_the_full_parser_does(
      None),
     (["classify", *BASE, "--l", "1e-200"], EXIT_OK, "", None),
     (["tau-star", *BASE, "--l", "1e-160"], EXIT_OK, "", None),
-    (["normal-form", *BASE, "--l", "1e-160"], EXIT_NUMERICAL,
-     "error: ill-conditioned quadratic solve, mode 0\n", None),
+    (["normal-form", *BASE, "--l", "1e-160"], EXIT_OK, "", None),
     (["hopf-curve", "--alpha", "0.1", "--r", "2", "--gamma", "5e-324"],
      EXIT_NUMERICAL, "error: rho0 undefined: gamma*(r - 1) underflows to 0 "
      "at r = 1.000000001\n", None),
     (["tau-star", "--alpha", "1e-300", "--r", "2", "--gamma", "1"],
      EXIT_NUMERICAL, "error: mode 0: quartic middle coefficient underflows "
      "(t_n = 2.000e-300, whose square is below the normal range)\n", None),
+    (["simulate", *BASE, "--l", "1e-150", "--t-end", "1"], EXIT_NUMERICAL,
+     "error: diffusion matrix factorization failed (info 129)\n", None),
+    (["normal-form", *BASE, "--l", "1e-6"], EXIT_OK, "", None),
+    (["tau-star", *BASE, "--l", "1e-100"], EXIT_OK, "", None),
+    (["normal-form", *BASE, "--l", "1e-100"], EXIT_OK, "", None),
+    (["normal-form", "--r", "2277.763554921702", "--alpha", "1e-160",
+      "--gamma", "4.3232516671103696e-05", "--d", "0.001374273309192517"],
+     EXIT_NUMERICAL, "error: crossing phase omega*tau underflows to 0 "
+     "(omega = 7.267e-77, tau = 0.000e+00)\n", None),
+    (["normal-form", "--r", "1.523898510626989", "--alpha",
+      "5.11236277441316e-06", "--gamma", "1e-160", "--l", "1e-300"],
+     EXIT_NUMERICAL, "error: normal-form constants overflow: |g11| = "
+     "1.222e+155, |g02| = 4.776e+155\n", None),
+    (["verify", "--r", "6.934668275807624", "--alpha",
+      "0.0007963736603806847", "--gamma", "1.7e308", "--d",
+      "1.6410208000439576e-05"], EXIT_NUMERICAL,
+     "error: mode 2: discriminant t^2 - 4*gamma*d overflows\n", None),
+    (["verify", *BASE, "--l", "1e-100", "--draws", "1", "--spectrum-n",
+      "16"], EXIT_NUMERICAL, "error: verification suite found mismatches\n",
+     None),
 ], ids=["delta0-overflow", "tau-star-delta0-overflow", "m-squared-underflow",
         "rho0-underflow", "normal-form-gamma-underflow",
         "classify-wavenumber-overflow", "tau-star-wavenumber-overflow",
         "normal-form-wavenumber-overflow", "hopf-curve-gamma-underflow",
-        "tau-star-script-t-underflow"])
+        "tau-star-script-t-underflow", "simulate-factorization-failure",
+        "normal-form-small-domain", "tau-star-crossing-gap-overflow",
+        "normal-form-crossing-gap-overflow", "normal-form-phase-underflow",
+        "normal-form-g11-overflow", "verify-discriminant-overflow",
+        "verify-k4-overflow"])
 def test_an_overflow_or_underflow_ends_on_a_documented_exit(
         tmp_path, capsys, argv, code, err, reason):
-    # Each of these ended in an OverflowError or ZeroDivisionError
-    # traceback, but for the last, which named an underflow as a failed
-    # hypothesis.
-    assert _run([*argv, "--d", "1", "--out", str(tmp_path)]) == code
+    # Each of these ended in a traceback or on a wrong exit: normal-form
+    # compared residuals that grow as 1/sqrt(l*pi) with an absolute
+    # bound, and tau-star-script-t-underflow named an underflow as a
+    # failed hypothesis.  simulate-factorization-failure keeps its exit
+    # just above the spacings that Grid refuses.  An argv's own --d wins.
+    assert _run([argv[0], "--d", "1", *argv[1:],
+                 "--out", str(tmp_path)]) == code
     assert capsys.readouterr().err == err
     if reason is not None:
         report = json.loads((tmp_path / "classify_report.json").read_text())
@@ -668,6 +735,26 @@ def test_simulate_that_blows_up_writes_one_error_line_only(tmp_path):
                            "(magnitude nan)\n")
 
 
+@pytest.mark.parametrize("command, n", [("simulate", 128), ("verify", 200)])
+def test_a_grid_spacing_below_the_float_range_is_refused_quietly(
+        tmp_path, command, n):
+    # A fresh interpreter, where numpy's RuntimeWarnings would reach
+    # stderr: h*h underflows to 0, and simulate and verify divide by it.
+    src = str(Path(musselbed.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run(
+        [sys.executable, "-m", "musselbed.cli", command, *BASE, "--d", "1",
+         "--l", "1e-200", "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True)
+    assert done.returncode == EXIT_USAGE
+    assert done.stdout == ""
+    assert done.stderr == (
+        f"error: grid spacing l*pi/n = {math.pi * 1e-200 / n:.3e} (l = "
+        f"1e-200, n = {n}) has a square below the normal float range\n")
+    assert not os.listdir(tmp_path)
+
+
 # Each command at its smallest useful size, for the sweep over the box.
 _SMALL_FLAGS = {
     "classify": [], "hopf-curve": ["--samples", "5"],
@@ -701,3 +788,46 @@ def test_every_command_ends_on_a_documented_exit_over_the_box(
         err = capsys.readouterr().err
         if code != EXIT_OK:
             assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# Each command at a short run, for the exit-code contract over any doubles.
+_SHORT_RUNS = {
+    "classify": [], "hopf-curve": [], "turing-curve": ["--resolution", "2"],
+    "tau-star": [], "normal-form": [],
+    "simulate": ["--t-end", "2", "--dt", "0.1", "--grid-n", "16"],
+    "sweep": ["--r-steps", "2", "--t-end", "2", "--dt", "0.1"],
+    "verify": ["--draws", "1", "--spectrum-n", "16"],
+}
+_REFERENCE_POINT = {"r": 2.0, "alpha": 0.1, "gamma": 0.5, "d": 1.0,
+                    "l": 1.0, "tau": 0.0}
+
+
+@st.composite
+def _any_command_lines(draw):
+    """A command at a short run at the reference point, with up to three
+    parameters set to any double: NaN, infinities, subnormals, and every
+    decade of the positive range."""
+    command = draw(st.sampled_from(sorted(_SHORT_RUNS)))
+    point = dict(_REFERENCE_POINT)
+    doubles = (st.floats() | st.floats(min_value=0.0, exclude_min=True)
+               | st.integers(-323, 308).map(lambda k: 10.0 ** k))
+    for name in draw(st.sets(st.sampled_from(sorted(point)), min_size=1,
+                             max_size=3)):
+        point[name] = draw(doubles)
+    flags = [arg for name, value in point.items()
+             for arg in (f"--{name}", repr(value))]
+    return [command, *flags, *_SHORT_RUNS[command]]
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_any_command_lines())
+def test_any_doubles_end_on_a_documented_exit(tmp_path, capsys, argv):
+    code = _run([*argv, "--out", str(tmp_path)])
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_HYPOTHESIS, EXIT_NUMERICAL,
+                    EXIT_IO)
+    err = capsys.readouterr().err
+    if code == EXIT_OK:
+        assert err == ""
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1
