@@ -217,7 +217,13 @@ def _cast_option(name: str, kind: type, value: Any) -> Any:
 def _resolve_options(command: str, config: dict[str, Any],
                      args: argparse.Namespace) -> dict[str, Any]:
     """Every option of the command: named flag beats config entry beats
-    default."""
+    default.  A config key that is neither `params` nor an option of some
+    command is refused, so that a misspelt key is not read as a default."""
+    unknown = set(config).difference(
+        {"params"}, *(c.options for c in _COMMANDS.values()))
+    if unknown:
+        raise CliError(EXIT_USAGE, f"unknown config key(s): "
+                                   f"{', '.join(sorted(unknown))}")
     options: dict[str, Any] = {}
     for name, (kind, default) in _COMMANDS[command].options.items():
         value = getattr(args, name)
@@ -303,7 +309,7 @@ def _cmd_turing_curve(p: ModelParams, opts: dict[str, Any], out: str) -> None:
 def _cmd_tau_star(p: ModelParams, opts: dict[str, Any], out: str) -> None:
     from .delay import tau_star
 
-    ts = tau_star(p, n_max=opts["n_max"], j_max=opts["j_max"])
+    ts = tau_star(p, j_max=opts["j_max"])
     _write_csv(out, "critical_delays.csv",
                ["n", "j", "omega", "tau", "transversality"],
                [[hp.n, hp.j, hp.omega, hp.tau_crit, hp.transversality]
@@ -347,7 +353,10 @@ def _history_factory(p: ModelParams, amplitude: float, wavenumber: int):
     m, a = positive_equilibrium(p)
 
     def history(x: np.ndarray, t: float):
-        bump = amplitude * np.cos(wavenumber * x / p.l)
+        # wavenumber * x can overflow for an l near the float range; the
+        # run then refuses the non-finite history by itself.
+        with np.errstate(over="ignore", invalid="ignore"):
+            bump = amplitude * np.cos(wavenumber * x / p.l)
         return m + bump, a - bump
 
     return history
@@ -492,7 +501,7 @@ _COMMANDS: dict[str, _Command] = {
          "resolution": (int, 50)}),
     "tau-star": _Command(
         _cmd_tau_star, "first critical delay and crossing table",
-        {"n_max": (int, None), "j_max": (int, 0)}),
+        {"j_max": (int, 0)}),
     "normal-form": _Command(
         _cmd_normal_form,
         "bifurcation direction and orbit stability at tau*", {}),

@@ -22,9 +22,7 @@ from .model import (ModelParams, check_hypotheses, delayed_self_term,
                     positive_equilibrium)
 
 TWO_PI = 2.0 * math.pi
-# tau_star scans this many modes past the first crossing-free one, and
-# refuses a ceiling past the cap rather than start a long useless scan.
-_CEILING_MARGIN = 5
+# mode_ceiling refuses a ceiling past the cap rather than start a long scan.
 _CEILING_CAP = 10_000
 
 
@@ -62,9 +60,9 @@ class TauStar(NamedTuple):
     """First overall critical delay.
 
     tau is the minimum over contributing modes of the first critical delay,
-    attained by mode n0 at frequency omega.  s0 lists every mode (up to the
-    scanned ceiling) admitting an imaginary-axis crossing, and crossings
-    holds the critical delays j = 0..j_max of each such mode, mode by mode.
+    attained by mode n0 at frequency omega.  s0 lists every mode admitting
+    an imaginary-axis crossing, and crossings holds the critical delays
+    j = 0..j_max of each such mode, mode by mode.
     """
 
     tau: float
@@ -115,6 +113,11 @@ def _crossing(p: ModelParams, n: int) -> Optional[HopfPoint]:
     gap = d_n * d_n - m_n * m_n
     if math.isnan(gap):   # inf - inf: both squares overflow
         gap = (d_n - m_n) * (d_n + m_n)
+    if math.isnan(gap):   # d_n + m_n is inf - inf too: decide by d_n - m_n
+        gap = d_n - m_n
+        if math.isnan(gap):
+            raise NumericalError(f"mode {n}: d_n - m_n is not a number "
+                                 f"(d_n = {d_n!r}, m_n = {m_n!r})")
     if gap >= 0.0:
         if d_n + m_n <= 0.0:
             raise HypothesisError(
@@ -145,7 +148,7 @@ def _ladder(first: HopfPoint, j_max: int) -> list[HopfPoint]:
 
 
 def mode_ceiling(p: ModelParams) -> int:
-    """Scan ceiling for crossing modes: first n with d_n - m_n >= 0, plus margin.
+    """Scan ceiling for crossing modes: the first n with d_n - m_n >= 0.
 
     In u = (n/l)^2, d_n - m_n is the upward parabola d u^2 + B u - C with
     B = d (alpha + m*) + m*/(1+m*)^2 > 0 and C = m_0 = r a* m* (1 - alpha r)
@@ -160,24 +163,20 @@ def mode_ceiling(p: ModelParams) -> int:
     if n > _CEILING_CAP:
         raise NumericalError(
             f"no crossing-free mode found below n = {_CEILING_CAP}")
-    return n + _CEILING_MARGIN
+    return n
 
 
-def tau_star(p: ModelParams, n_max: Optional[int] = None, j_max: int = 0) -> TauStar:
+def tau_star(p: ModelParams, j_max: int = 0) -> TauStar:
     """First critical delay over all modes, with the per-mode crossing report.
 
-    Scans modes 0..n_max (default: mode_ceiling) for imaginary-axis
-    crossings and returns the smallest first critical delay along with the
-    attaining mode and frequency.  Raises when no mode admits a crossing —
-    the coexistence state then stays stable for every delay.  Raises
-    ValueError for a negative n_max or j_max, and for an n_max past the
-    largest ceiling mode_ceiling returns.
+    Scans modes 0..mode_ceiling(p) for imaginary-axis crossings and
+    returns the smallest first critical delay along with the attaining
+    mode and frequency.  Raises when no mode admits a crossing — the
+    coexistence state then stays stable for every delay.  Raises
+    ValueError for a negative j_max.
     """
     if j_max < 0:
         raise ValueError(f"j_max must be nonnegative, got {j_max}")
-    if n_max is not None and not 0 <= n_max <= _CEILING_CAP + _CEILING_MARGIN:
-        raise ValueError(f"n_max must lie in [0, "
-                         f"{_CEILING_CAP + _CEILING_MARGIN}], got {n_max}")
     report = check_hypotheses(p)
     if not (report.h1 and report.h2 and report.h3):
         failed = [name for name, ok in
@@ -186,9 +185,7 @@ def tau_star(p: ModelParams, n_max: Optional[int] = None, j_max: int = 0) -> Tau
         raise HypothesisError(
             f"tau_star requires hypotheses h1-h3; failing: {', '.join(failed)}"
         )
-    if n_max is None:
-        n_max = mode_ceiling(p)
-    firsts = [_crossing(p, n) for n in range(n_max + 1)]
+    firsts = [_crossing(p, n) for n in range(mode_ceiling(p) + 1)]
     firsts = [hp for hp in firsts if hp is not None]
     if not firsts:
         raise HypothesisError(

@@ -36,8 +36,6 @@ _EDGE = 1e-9
 # same step whatever the cap.
 _BISECT_MAXITER = 1100
 _BISECT_RTOL = 4.0 * math.ulp(1.0)
-# turing_analysis reports the least mode determinant over modes 0.._TURING_MODES.
-_TURING_MODES = 50
 
 
 class SpectralCoeffsNoDelay(NamedTuple):
@@ -57,8 +55,8 @@ class TuringReport(NamedTuple):
     positive), and min_mode_value the continuous minimum of the determinant
     over k^2 >= 0.  The verdict is "stable", "turing-unstable", or
     "hopf-unstable"; marginal flags a zero-minimum borderline case that was
-    conservatively classified stable.  The discrete scan over integer modes
-    is reported separately since admissible wave numbers are n/l.
+    conservatively classified stable.  The least value over the integer
+    modes is reported separately since admissible wave numbers are n/l.
     """
 
     g_r: float
@@ -271,14 +269,20 @@ def turing_analysis(p: ModelParams, strict: bool = True) -> TuringReport:
     g, d0 = _detcoeffs(p.alpha, p.r, p.d)
     disc = g * g - 4.0 * p.d * d0
     kc_sq: Optional[float] = None
+    modes = range(0)
     if g < 0.0:
         kc_sq = -g / (2.0 * p.d)
         min_value = d0 - g * g / (4.0 * p.d)
+        # Convex in u: least at mode 0 or next to l*kc, where the modes
+        # have (n/l)**2 = inf if l*kc overflows.
+        near = p.l * math.sqrt(kc_sq)
+        if near < math.inf:
+            modes = range(max(1, math.floor(near) - 1), math.floor(near) + 3)
     else:
         min_value = d0
 
     best_n, best_value = 0, d0
-    for n in range(_TURING_MODES + 1):
+    for n in modes:
         u = p.wavenumber_sq(n)
         value = p.d * u * u + g * u + d0
         if value < best_value:

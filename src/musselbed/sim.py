@@ -73,6 +73,9 @@ class Grid:
             raise ValueError("grid must have at least 16 intervals")
         if self.l <= 0:
             raise ValueError("domain scale must be positive")
+        if self.l * math.pi == math.inf:
+            raise ValueError(f"domain length l*pi overflows (l = "
+                             f"{self.l:.6g}, n = {self.n})")
         if self.h * self.h < sys.float_info.min:
             raise ValueError(f"grid spacing l*pi/n = {self.h:.3e} (l = "
                              f"{self.l:.6g}, n = {self.n}) has a square "
@@ -575,16 +578,20 @@ def lyapunov_value(m: np.ndarray, a: np.ndarray, p: ModelParams,
     the result is one energy per frame.  grid None means the spatially
     homogeneous reduction, whose one point's integrand is the energy.
     Nonincreasing along solutions in the low-recruitment regime; zero
-    exactly at the bare-sediment state (0, 1).
+    exactly at the bare-sediment state (0, 1).  Raises NumericalError
+    where the energy overflows.
     """
     a = np.asarray(a, dtype=float)
     m = np.asarray(m, dtype=float)
     if np.min(a) <= 0.0:
         raise NumericalError("energy functional needs strictly positive a")
-    integrand = p.gamma * p.r * (a - 1.0 - np.log(a)) + m
-    if grid is None:
-        return integrand[..., 0]
-    return np.trapezoid(integrand, grid.x(), axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        integrand = p.gamma * p.r * (a - 1.0 - np.log(a)) + m
+        energy = (integrand[..., 0] if grid is None
+                  else np.trapezoid(integrand, grid.x(), axis=-1))
+    if not np.isfinite(energy).all():
+        raise NumericalError("energy functional overflows")
+    return energy
 
 
 def _find_peaks(x: np.ndarray, prominence: float) -> np.ndarray:

@@ -77,6 +77,7 @@ def discrete_spectrum(p: ModelParams, grid: Grid, count: int) -> list[complex]:
     by sqrt(2) makes L symmetric, with sqrt(2)/h^2 on both end
     off-diagonals.  Returns the `count` eigenvalues of largest real part,
     a tie (a conjugate pair) in the order of decreasing imaginary part.
+    Raises NumericalError where a block entry is not finite.
     """
     m_eq, a_eq, j_mm, j_ma, j_am = _raw_kinetics_jacobian(p)
     j_aa = -(p.alpha + m_eq)
@@ -86,10 +87,15 @@ def discrete_spectrum(p: ModelParams, grid: Grid, count: int) -> list[complex]:
     lap = np.diag(np.full(nx, -2.0)) + np.diag(off, 1) + np.diag(off, -1)
     mu = np.linalg.eigvalsh(lap / (grid.h * grid.h))
     blocks = np.empty((nx, 2, 2))
-    blocks[:, 0, 0] = p.d * mu + j_mm
-    blocks[:, 0, 1] = j_ma
-    blocks[:, 1, 0] = j_am / p.gamma
-    blocks[:, 1, 1] = (mu + j_aa) / p.gamma
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocks[:, 0, 0] = p.d * mu + j_mm
+        blocks[:, 0, 1] = j_ma
+        blocks[:, 1, 0] = j_am / p.gamma
+        blocks[:, 1, 1] = (mu + j_aa) / p.gamma
+    if not np.isfinite(blocks).all():
+        raise NumericalError("discrete spectrum: a 2x2 block of the "
+                             "operator is not finite (d*mu or 1/gamma "
+                             "overflows)")
     values = np.linalg.eigvals(blocks).ravel().astype(complex)
     order = np.lexsort((-values.imag, -values.real))
     return [complex(values[i]) for i in order[:count]]

@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -132,8 +133,6 @@ def test_non_finite_parameter_is_a_usage_error(tmp_path, capsys, argv):
 @pytest.mark.parametrize("argv", [
     ["sweep", "--r-steps", "0"],
     ["tau-star", "--j-max", "-5"],
-    ["tau-star", "--n-max", "-1"],
-    ["tau-star", "--n-max", "1000000000"],
     ["verify", "--draws", "-1"],
     ["turing-curve", "--alpha-min", "0.5", "--alpha-max", "0.1"],
     ["hopf-curve", "--samples", "0"],
@@ -149,8 +148,8 @@ def test_non_finite_parameter_is_a_usage_error(tmp_path, capsys, argv):
     # ... also when no r of the range has an equilibrium (r < 1).
     *(["sweep", "--r-min", "0.2", "--r-max", "0.5", "--r-steps", "2", *run]
       for run in (["--dt", "0"], ["--t-end", "1e12"])),
-], ids=["sweep-r-steps-0", "tau-star-j-max-neg", "tau-star-n-max-neg",
-        "tau-star-n-max-huge", "verify-draws-neg", "turing-curve-reversed",
+], ids=["sweep-r-steps-0", "tau-star-j-max-neg", "verify-draws-neg",
+        "turing-curve-reversed",
         "hopf-curve-samples-0", "hopf-curve-samples-neg", "sweep-dt-0",
         "sweep-dt-neg", "sweep-t-end-huge", "sweep-transient-fraction-1",
         "sweep-transient-fraction-2", "simulate-transient-fraction-1",
@@ -228,10 +227,51 @@ def test_unknown_config_parameter_is_rejected(tmp_path):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv, config, key", [
+    (["--set", "dtt=0.1"], {}, "dtt"),
+    ([], {"grid_nn": 8}, "grid_nn"),
+    (["--set", "n_max=3"], {}, "n_max"),
+    (["--set", "run.dt=0.1"], {}, "run"),
+], ids=["set-dtt", "config-grid-nn", "set-n-max", "set-dotted"])
+def test_unknown_config_key_is_rejected(tmp_path, capsys, argv, config, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": {"r": 2.0, "alpha": 0.1,
+                                          "gamma": 0.5}, **config}))
+    out = tmp_path / "out"
+    code = _run(["classify", "--config", str(cfg), *argv, "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: unknown config key(s): {key}\n"
+    assert not out.exists()
+
+
+def test_config_keys_of_other_commands_are_allowed(tmp_path):
+    # One config file serves every command.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": {"r": 2.0, "alpha": 0.1,
+                                          "gamma": 0.5},
+                               "dt": 0.01, "grid_n": 128, "j_max": 1}))
+    assert _run(["classify", "--config", str(cfg), "--out",
+                 str(tmp_path / "out")]) == EXIT_OK
+
+
+@pytest.mark.parametrize("value", ["-1", "1000000000", "3"],
+                         ids=["n-max-neg", "n-max-huge", "n-max-3"])
+def test_the_removed_mode_ceiling_option_is_a_usage_error(tmp_path, capsys,
+                                                         value):
+    # tau-star always scans up to the first mode that cannot cross.
+    code = _run(["tau-star", *BASE, "--n-max", value, "--out",
+                 str(tmp_path)])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: unrecognized arguments: --n-max {value}\n"
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("command, config, name", [
     ("simulate", {"ode": "false", "t_end": 1}, "ode"),
     ("turing-curve", {"resolution": 2.7}, "resolution"),
-    ("tau-star", {"n_max": "x"}, "n_max"),
+    ("tau-star", {"j_max": "x"}, "j_max"),
     ("verify", {"draws": True}, "draws"),
     ("simulate", {"ode": True, "dt": True, "t_end": 1}, "dt"),
 ])
@@ -509,6 +549,10 @@ def test_main_reports_a_parse_error_as_the_full_parser_does(
     assert capsys.readouterr().err == f"error: {full.value}\n"
 
 
+BLOCK_OVERFLOW = ("error: discrete spectrum: a 2x2 block of the operator "
+                  "is not finite (d*mu or 1/gamma overflows)\n")
+
+
 @pytest.mark.parametrize("argv, code, err, reason", [
     (["classify", "--alpha", "10", "--r", "1e300", "--gamma", "1"], EXIT_OK,
      "", "delta0^2 overflows"),
@@ -554,6 +598,13 @@ def test_main_reports_a_parse_error_as_the_full_parser_does(
     (["verify", *BASE, "--l", "1e-100", "--draws", "1", "--spectrum-n",
       "16"], EXIT_NUMERICAL, "error: verification suite found mismatches\n",
      None),
+    (["verify", "--r", "2", "--alpha", "0.1", "--gamma", "1e-320"],
+     EXIT_NUMERICAL, BLOCK_OVERFLOW, None),
+    (["verify", *BASE, "--d", "1.7e308"], EXIT_NUMERICAL, BLOCK_OVERFLOW,
+     None),
+    (["simulate", *BASE, "--gamma", "1e284", "--l", "1e126", "--t-end", "2",
+      "--dt", "0.1", "--grid-n", "16"], EXIT_NUMERICAL,
+     "error: energy functional overflows\n", None),
 ], ids=["delta0-overflow", "tau-star-delta0-overflow", "m-squared-underflow",
         "rho0-underflow", "normal-form-gamma-underflow",
         "classify-wavenumber-overflow", "tau-star-wavenumber-overflow",
@@ -562,7 +613,8 @@ def test_main_reports_a_parse_error_as_the_full_parser_does(
         "normal-form-small-domain", "tau-star-crossing-gap-overflow",
         "normal-form-crossing-gap-overflow", "normal-form-phase-underflow",
         "normal-form-g11-overflow", "verify-discriminant-overflow",
-        "verify-k4-overflow"])
+        "verify-k4-overflow", "verify-block-gamma-underflow",
+        "verify-block-d-overflow", "simulate-energy-overflow"])
 def test_an_overflow_or_underflow_ends_on_a_documented_exit(
         tmp_path, capsys, argv, code, err, reason):
     # Each of these ended in a traceback or on a wrong exit: normal-form
@@ -719,16 +771,20 @@ def test_verify_reports_a_failed_tracker_as_a_fail_row(
     assert sum(",FAIL," in row for row in rows) == 1
 
 
-def test_simulate_that_blows_up_writes_one_error_line_only(tmp_path):
-    # A fresh interpreter, where numpy's RuntimeWarnings would reach
-    # stderr: 1/(1 + m) is inf at m = -1, and the guard reports it.
+def _run_fresh(argv):
+    """argv in a fresh interpreter, where numpy's RuntimeWarnings would
+    reach stderr."""
     src = str(Path(musselbed.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    done = subprocess.run(
-        [sys.executable, "-m", "musselbed.cli", "simulate", *BASE, "--ode",
-         "--m0", "-1", "--a0", "0.5", "--out", str(tmp_path)],
-        env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, "-m", "musselbed.cli", *argv],
+                          env=env, capture_output=True, text=True)
+
+
+def test_simulate_that_blows_up_writes_one_error_line_only(tmp_path):
+    # 1/(1 + m) is inf at m = -1, and the guard reports it.
+    done = _run_fresh(["simulate", *BASE, "--ode", "--m0", "-1", "--a0",
+                       "0.5", "--out", str(tmp_path)])
     assert done.returncode == EXIT_NUMERICAL
     assert done.stdout == ""
     assert done.stderr == ("error: field blow-up at t = 0.01 "
@@ -738,21 +794,47 @@ def test_simulate_that_blows_up_writes_one_error_line_only(tmp_path):
 @pytest.mark.parametrize("command, n", [("simulate", 128), ("verify", 200)])
 def test_a_grid_spacing_below_the_float_range_is_refused_quietly(
         tmp_path, command, n):
-    # A fresh interpreter, where numpy's RuntimeWarnings would reach
-    # stderr: h*h underflows to 0, and simulate and verify divide by it.
-    src = str(Path(musselbed.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    done = subprocess.run(
-        [sys.executable, "-m", "musselbed.cli", command, *BASE, "--d", "1",
-         "--l", "1e-200", "--out", str(tmp_path)],
-        env=env, capture_output=True, text=True)
+    # h*h underflows to 0, and simulate and verify divide by it.
+    done = _run_fresh([command, *BASE, "--d", "1", "--l", "1e-200",
+                       "--out", str(tmp_path)])
     assert done.returncode == EXIT_USAGE
     assert done.stdout == ""
     assert done.stderr == (
         f"error: grid spacing l*pi/n = {math.pi * 1e-200 / n:.3e} (l = "
         f"1e-200, n = {n}) has a square below the normal float range\n")
     assert not os.listdir(tmp_path)
+
+
+def test_a_domain_whose_length_overflows_is_refused_quietly(tmp_path):
+    # l*pi overflows, and the grid and the history would use it.
+    done = _run_fresh(["simulate", *BASE, "--d", "1", "--l", "1.7e308",
+                       "--t-end", "1", "--out", str(tmp_path)])
+    assert done.returncode == EXIT_USAGE
+    assert done.stdout == ""
+    assert done.stderr == ("error: domain length l*pi overflows "
+                           "(l = 1.7e+308, n = 128)\n")
+    assert not os.listdir(tmp_path)
+
+
+def test_tau_star_where_the_wave_number_overflows_writes_no_nan(tmp_path):
+    assert _run(["tau-star", *BASE, "--d", "1", "--l", "1e-160", "--out",
+                 str(tmp_path)]) == EXIT_OK
+    report = json.loads((tmp_path / "tau_star_report.json").read_text())
+    assert report["crossing_modes"] == [0]
+    rows = (tmp_path / "critical_delays.csv").read_text().splitlines()
+    assert [row.split(",")[:2] for row in rows[1:]] == [["0", "0"]]
+    assert "nan" not in rows[1]
+
+
+def test_classify_finds_the_discrete_minimum_past_mode_fifty(tmp_path):
+    assert _run(["classify", "--r", "1.3", "--alpha", "0.3", "--gamma", "1",
+                 "--d", "0.01", "--l", "100", "--out", str(tmp_path)]) \
+        == EXIT_OK
+    report = json.loads((tmp_path / "classify_report.json").read_text())
+    pattern = report["pattern_analysis"]
+    assert pattern["verdict"] == "turing-unstable"
+    assert pattern["discrete_min_n"] == 232
+    assert pattern["discrete_min_value"] == pytest.approx(-0.21083, abs=1e-5)
 
 
 # Each command at its smallest useful size, for the sweep over the box.
@@ -822,12 +904,42 @@ def _any_command_lines(draw):
 @settings(max_examples=200, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=_any_command_lines())
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_any_doubles_end_on_a_documented_exit(tmp_path, capsys, argv):
-    code = _run([*argv, "--out", str(tmp_path)])
+    out = tempfile.mkdtemp(dir=tmp_path)
+    code = _run([*argv, "--out", out])
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_HYPOTHESIS, EXIT_NUMERICAL,
                     EXIT_IO)
     err = capsys.readouterr().err
-    if code == EXIT_OK:
-        assert err == ""
-    else:
+    if code != EXIT_OK:
         assert err.startswith("error: ") and err.count("\n") == 1
+        return
+    assert err == ""
+    for name in os.listdir(out):
+        assert "nan" not in _cells(Path(out, name)), name
+
+
+def _cells(path):
+    """The CSV cells or JSON values of a result file, as text, leaving
+    out the hypothesis details of classify, which README documents as
+    nan where a quantity is undefined."""
+    if path.suffix == ".csv":
+        return {cell for line in path.read_text().splitlines()
+                for cell in line.split(",")}
+    if path.suffix != ".json":
+        return set()
+    report = json.loads(path.read_text())
+    report.get("hypotheses", {}).pop("details", None)
+    cells = set()
+
+    def walk(node):
+        if isinstance(node, dict):
+            node = list(node.values())
+        if isinstance(node, list):
+            for child in node:
+                walk(child)
+        else:
+            cells.add(str(node))
+
+    walk(report)
+    return cells

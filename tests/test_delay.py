@@ -72,14 +72,14 @@ def test_reference_crossing_frequency_and_first_delay():
 
 def test_characteristic_residual_vanishes_at_reported_crossings():
     for p in _seeded_admissible_params(25, seed=77):
-        for hp in tau_star(p, n_max=3, j_max=2).crossings:
+        for hp in tau_star(p, j_max=2).crossings:
             residual = char_residual(p, hp.n, 1j * hp.omega, hp.tau_crit)
             assert abs(residual) < 1e-10
 
 
 def test_critical_delays_are_increasing_and_evenly_spaced():
     for p in _seeded_admissible_params(15, seed=13):
-        ts = tau_star(p, n_max=2, j_max=3)
+        ts = tau_star(p, j_max=3)
         for n in ts.s0:
             table = [hp for hp in ts.crossings if hp.n == n]
             assert len(table) == 4
@@ -92,7 +92,7 @@ def test_critical_delays_are_increasing_and_evenly_spaced():
 
 def test_transversality_is_positive_at_crossings():
     for p in _seeded_admissible_params(25, seed=310):
-        for hp in tau_star(p, n_max=3).crossings:
+        for hp in tau_star(p).crossings:
             assert hp.transversality > 0.0
 
 
@@ -106,13 +106,12 @@ def test_first_delay_is_minimal_over_crossing_modes():
             assert first.tau_crit >= ts.tau - 1e-12
 
 
-def _scanned_mode_ceiling(p: ModelParams, margin: int = 5,
-                          n_cap: int = 10_000) -> int:
+def _scanned_mode_ceiling(p: ModelParams, n_cap: int = 10_000) -> int:
     """Reference for mode_ceiling: scan modes for the first d_n >= m_n."""
     for n in range(n_cap + 1):
         c = delay_char_coeffs(p, n)
         if c.d_n - c.m_n >= 0.0:
-            return n + margin
+            return n
     raise NumericalError(f"no crossing-free mode found below n = {n_cap}")
 
 
@@ -143,7 +142,30 @@ def test_mode_ceiling_refuses_a_ceiling_past_the_cap():
 def test_modes_above_the_ceiling_admit_no_crossing():
     for p in _seeded_admissible_params(15, seed=55):
         ceiling = mode_ceiling(p)
-        assert max(tau_star(p, n_max=ceiling + 3).s0) < ceiling
+        assert max(tau_star(p).s0) < ceiling
+        for n in range(ceiling, ceiling + 4):
+            assert delay_mod._crossing(p, n) is None
+
+
+def test_modes_whose_wave_number_overflows_admit_no_crossing():
+    # (n/l)**2 is inf for every n >= 1: d_n - m_n is +inf and the gap
+    # (d_n - m_n)(d_n + m_n) is inf * nan.
+    p = replace(REFERENCE, l=1e-160)
+    assert delay_mod._crossing(p, 1) is None
+    ts = tau_star(p, j_max=1)
+    assert ts.s0 == (0,)
+    assert all(math.isfinite(hp.omega) and math.isfinite(hp.tau_crit)
+               for hp in ts.crossings)
+
+
+def test_crossing_refuses_a_nan_coefficient(monkeypatch):
+    def coeffs(p, n):
+        return delay_mod.SpectralCoeffsDelay(n, 1.0, math.nan, math.nan,
+                                             0.0, 1.0)
+
+    monkeypatch.setattr(delay_mod, "delay_char_coeffs", coeffs)
+    with pytest.raises(NumericalError, match="d_n - m_n is not a number"):
+        delay_mod._crossing(REFERENCE, 1)
 
 
 def test_eigenvalue_slope_matches_tracked_root_difference():
@@ -200,7 +222,7 @@ def test_crossing_frequency_matches_extended_precision():
     points = [TINY_GAP, REFERENCE]
     points += _seeded_admissible_params(10, seed=5150)
     for p in points:
-        for hp in tau_star(p, n_max=2).crossings:
+        for hp in tau_star(p).crossings:
             assert hp.omega == pytest.approx(_mp_crossing_frequency(p, hp.n),
                                              rel=1e-12, abs=0.0)
 
@@ -239,9 +261,6 @@ def test_tau_star_builds_each_scanned_mode_once(monkeypatch):
         return original(q, n)
 
     monkeypatch.setattr(delay_mod, "delay_char_coeffs", counting)
-    tau_star(p, n_max=12, j_max=3)
-    assert calls == list(range(13))
-    calls.clear()
-    tau_star(p)
+    tau_star(p, j_max=3)
     # mode_ceiling reads its constant term from mode 0's coefficients.
     assert calls == [0, *range(ceiling + 1)]

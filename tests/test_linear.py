@@ -208,6 +208,38 @@ def test_band_verdict_matches_brute_force_scan():
             brute_min, abs=1e-4 * max(1.0, abs(brute_min)))
 
 
+def test_discrete_minimum_equals_the_full_mode_scan():
+    # The least mode determinant over modes 0..ceil(2*l*kc) + 10, at its
+    # first mode, in the report's own expression; l*kc runs far past 50.
+    rng = np.random.default_rng(4141)
+    past_fifty = 0
+    for _ in range(2000):
+        alpha = float(rng.uniform(0.05, 0.9))
+        p = ModelParams(r=float(rng.uniform(1.02, 1.0 / alpha - 1e-9)),
+                        alpha=alpha, gamma=1.0,
+                        d=float(10.0 ** rng.uniform(-2.0, 0.0)),
+                        l=float(rng.uniform(0.1, 100.0)))
+        report = turing_analysis(p, strict=False)
+        g, d0 = _detcoeffs(p.alpha, p.r, p.d)
+        kc_sq = report.kc_squared or 0.0
+        values = [p.d * u * u + g * u + d0
+                  for u in map(p.wavenumber_sq,
+                               range(math.ceil(2.0 * p.l * math.sqrt(kc_sq))
+                                     + 11))]
+        least = min(values)
+        assert (report.discrete_min_n, report.discrete_min_value) \
+            == (values.index(least), least)
+        past_fifty += report.discrete_min_n > 50
+    assert past_fifty > 200
+
+
+def test_discrete_minimum_where_l_times_kc_overflows():
+    p = ModelParams(r=2.0, alpha=0.1, gamma=0.5, d=1e-300, l=1e300)
+    report = turing_analysis(p, strict=False)
+    assert report.verdict == "turing-unstable"
+    assert report.discrete_min_n == 0
+
+
 def test_band_slope_is_independent_of_gamma():
     base = ModelParams(r=1.5, alpha=0.3, gamma=0.5, d=0.05)
     alt = ModelParams(r=1.5, alpha=0.3, gamma=7.0, d=0.05)

@@ -59,6 +59,24 @@ def test_grid_validation_and_geometry():
     assert len(x) == 65
 
 
+def test_grid_refuses_a_domain_whose_length_overflows():
+    with pytest.raises(ValueError, match=r"l = 1\.7e\+308, n = 16"):
+        Grid(16, l=1.7e308)
+    assert Grid(16, l=5e307).x()[-1] == 5e307 * math.pi
+
+
+def test_lyapunov_value_refuses_an_energy_that_overflows():
+    # The integral over (0, l*pi) overflows; then gamma*r does, times 0.
+    grid = Grid(16, l=5e307)
+    ones = np.ones(grid.points)
+    with pytest.raises(NumericalError, match="energy functional overflows"):
+        lyapunov_value(ones, 2.0 * ones,
+                       ModelParams(r=2.0, alpha=0.1, gamma=0.5), grid)
+    with pytest.raises(NumericalError, match="energy functional overflows"):
+        lyapunov_value(ones[:1], ones[:1],
+                       ModelParams(r=2.0, alpha=0.1, gamma=1.7e308), None)
+
+
 def test_step_size_snaps_to_divide_the_delay():
     p = _with_tau(2.0)
     traj = simulate_ode(p, 0.2, 0.5, t_end=1.0, dt=0.03)

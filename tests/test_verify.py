@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from musselbed import (Grid, ModelParams, char_residual,
+from musselbed import (Grid, ModelParams, NumericalError, char_residual,
                        eigenvalues_no_delay, hypothesis_h1, tau_star,
                        turing_analysis)
 from musselbed.verify import (discrete_spectrum, grid_classify,
@@ -117,6 +117,13 @@ def test_spectrum_oracle_respects_time_scaling():
     slow = ModelParams(r=2.0, alpha=0.10, gamma=1.0, d=1.0)
     worst = _worst_spectrum_mismatch(slow, 150)
     assert worst < 2e-3
+
+
+@pytest.mark.parametrize("gamma, d", [(1e-320, 1.0), (0.5, 1.7e308)])
+def test_spectrum_oracle_refuses_a_block_that_overflows(gamma, d):
+    p = ModelParams(r=2.0, alpha=0.10, gamma=gamma, d=d)
+    with pytest.raises(NumericalError, match="block of the operator"):
+        discrete_spectrum(p, Grid(16), 4)
 
 
 def test_hypothesis_filter_matches_label():
