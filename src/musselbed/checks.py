@@ -86,8 +86,6 @@ def cross_checks(p: ModelParams, spectrum_n: int = 200,
     try:
         crossing = newton_track_root(p, ts.n0, 0.0, ts.tau * 1.3,
                                      60).crossing_tau
-    except OverflowError:
-        detail = "tracker overflowed"
     except NumericalError as exc:
         detail = f"tracker failed: {exc}"
     gap = math.inf if crossing is None else abs(crossing - ts.tau)

@@ -268,6 +268,9 @@ def turing_analysis(p: ModelParams, strict: bool = True) -> TuringReport:
         raise HypothesisError("turing_analysis requires the coexistence state (h1)")
     g, d0 = _detcoeffs(p.alpha, p.r, p.d)
     disc = g * g - 4.0 * p.d * d0
+    if math.isnan(disc):   # inf - inf: both products overflow
+        root = 2.0 * math.sqrt(p.d) * math.sqrt(d0)
+        disc = (g - root) * (g + root)
     kc_sq: Optional[float] = None
     modes = range(0)
     if g < 0.0:

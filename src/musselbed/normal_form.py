@@ -255,7 +255,7 @@ def center_manifold_terms(p: ModelParams, ep: Eigenpair
     coefficients at the delayed argument and at zero, and evaluates the
     two brackets whose weighted sum is g21.  A singular
     quadratic-frequency system signals a resonance and is reported,
-    never regularized.
+    never regularized; so is a quadratic bracket that is not finite.
     """
     eq = positive_equilibrium(p)
     j_mm = delayed_self_term(eq.m)
@@ -264,6 +264,9 @@ def center_manifold_terms(p: ModelParams, ep: Eigenpair
     cube, quart, weights = _mode_integrals(p, ep.n0)
     ex = nonlinear_expansion(p)
     f20, f11, f02 = _quadratic_brackets(p, ep, ex)
+    if not all(map(cmath.isfinite, (*f20, *f11))):
+        raise NumericalError("quadratic brackets overflow: f_hat_20 or "
+                             "f_hat_11 is not finite")
     scale = tau * ep.m_norm * cube
     g20, g11, g02 = (scale * (ep.q2 * f[0] + f[1]) if cube else 0j
                      for f in (f20, f11, f02))

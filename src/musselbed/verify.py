@@ -22,6 +22,8 @@ from .sim import Grid
 _NEWTON_TOL = 1e-12
 _NEWTON_MAX_ITER = 60
 _TRACK_MAX_DEPTH = 6
+_CROSSING_TOL = 1e-8
+_EPS = math.ulp(1.0)
 _PAIRING_POINTS = 4000
 
 
@@ -29,8 +31,8 @@ class RootTrack(NamedTuple):
     """A characteristic root followed along the delay axis.
 
     crossing_tau is the delay at which the tracked real part changes
-    sign, refined by bisection, or None when no crossing occurs on the
-    tracked interval.
+    sign, polished on the imaginary axis, or None when no crossing occurs
+    on the tracked interval or the first one is not resolved to 1e-8.
     """
 
     tau_values: tuple[float, ...]
@@ -101,51 +103,114 @@ def discrete_spectrum(p: ModelParams, grid: Grid, count: int) -> list[complex]:
     return [complex(values[i]) for i in order[:count]]
 
 
-def _char_and_derivative(p: ModelParams, n: int, lam: complex,
-                         tau: float) -> tuple[complex, complex]:
-    """Transcendental characteristic function of mode n and its
-    lambda-derivative, assembled from raw parameters."""
-    m_eq, a_eq, j_mm, j_ma, j_am = _raw_kinetics_jacobian(p)
-    ksq = (n / p.l) ** 2
+def _mode_terms(p: ModelParams,
+                n: int) -> tuple[float, float, float, float, float, float]:
+    """Coefficients (gamma, t_n, b, m_n, d_n) of mode n's transcendental
+    characteristic function
+    gamma lam^2 + t_n lam + (b lam + m_n) e^{-lam tau} + d_n,
+    assembled from raw parameters, and the sum of the moduli of m_n's two
+    terms, which sets its rounding error.  A square beyond the float
+    range is a NumericalError."""
+    try:
+        m_eq, a_eq, j_mm, j_ma, j_am = _raw_kinetics_jacobian(p)
+        ksq = (n / p.l) ** 2
+    except OverflowError as exc:
+        raise NumericalError(
+            f"mode {n}: characteristic coefficients overflow") from exc
     t_n = p.alpha + m_eq + (1.0 + p.gamma * p.d) * ksq
     b = -p.gamma * j_mm
     m_n = -j_mm * (p.alpha + m_eq + ksq) - j_ma * j_am
     d_n = p.d * ksq * (p.alpha + m_eq + ksq)
+    m_size = abs(j_mm * (p.alpha + m_eq + ksq)) + abs(j_ma * j_am)
+    return p.gamma, t_n, b, m_n, d_n, m_size
+
+
+def _char_and_derivative(terms: tuple[float, ...], lam: complex,
+                         tau: float) -> tuple[complex, complex]:
+    """The characteristic function of `_mode_terms` and its
+    lambda-derivative at (lam, tau)."""
+    gamma, t_n, b, m_n, d_n, _ = terms
     decay = cmath.exp(-lam * tau)
-    value = p.gamma * lam * lam + t_n * lam + (b * lam + m_n) * decay + d_n
-    deriv = 2.0 * p.gamma * lam + t_n + (b - tau * (b * lam + m_n)) * decay
+    value = gamma * lam * lam + t_n * lam + (b * lam + m_n) * decay + d_n
+    deriv = 2.0 * gamma * lam + t_n + (b - tau * (b * lam + m_n)) * decay
     return value, deriv
 
 
-def _newton(p: ModelParams, n: int, guess: complex,
+def _newton(terms: tuple[float, ...], guess: complex,
             tau: float) -> Optional[complex]:
+    """A root of the characteristic function at delay tau, Newton-converged
+    from guess, or None.  A value beyond the float range (exp(-lam tau) or
+    |value|) is non-convergence."""
     lam = guess
+    try:
+        for _ in range(_NEWTON_MAX_ITER):
+            value, deriv = _char_and_derivative(terms, lam, tau)
+            if abs(value) < _NEWTON_TOL:
+                return lam
+            if deriv == 0:
+                return None
+            step = value / deriv
+            lam = lam - step
+            if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
+                return None
+        value, _ = _char_and_derivative(terms, lam, tau)
+        return lam if abs(value) < _NEWTON_TOL else None
+    except OverflowError:
+        return None
+
+
+def _delay_free_start(terms: tuple[float, ...]) -> complex:
+    """Rightmost root at tau = 0, of gamma lam^2 + (t_n + b) lam
+    + d_n + m_n."""
+    gamma, t_n, b, m_n, d_n, _ = terms
+    trace_term = t_n + b
+    disc = trace_term * trace_term - 4.0 * gamma * (d_n + m_n)
+    return (-trace_term + cmath.sqrt(disc)) / (2.0 * gamma)
+
+
+def _polish_crossing(terms: tuple[float, ...], lam_a: complex,
+                     lam_b: complex, tau_a: float,
+                     tau_b: float) -> Optional[float]:
+    """The delay at which the root tracked from lam_a (at tau_a) to lam_b
+    (at tau_b) crosses the imaginary axis, or None where it is not
+    resolved to _CROSSING_TOL.
+
+    Newton on Delta(i omega, tau) = 0 in the two real unknowns (omega,
+    tau), seeded by linear interpolation of Re lam over the bracket and
+    the mean |Im lam| at its ends.  The crossing's bound is the last step
+    plus the rounding of Delta, eps times the sum of its terms' moduli
+    (m_n's two terms apart), carried through the 2x2 solve.
+    """
+    gamma, t_n, b, m_n, d_n, m_size = terms
+    re_a, re_b = lam_a.real, lam_b.real
+    tau = tau_a + ((tau_b - tau_a) * re_a / (re_a - re_b) if re_a else 0.0)
+    omega = 0.5 * (abs(lam_a.imag) + abs(lam_b.imag))
+    bound = math.inf
     for _ in range(_NEWTON_MAX_ITER):
-        value, deriv = _char_and_derivative(p, n, lam, tau)
-        if abs(value) < _NEWTON_TOL:
-            return lam
-        if deriv == 0:
+        lam = complex(0.0, omega)
+        value, deriv = _char_and_derivative(terms, lam, tau)
+        # Columns d/d(omega) = i dDelta/dlam and d/d(tau), rows Re and Im.
+        by_omega = 1j * deriv
+        by_tau = -lam * (b * lam + m_n) * cmath.exp(-lam * tau)
+        det = by_omega.real * by_tau.imag - by_tau.real * by_omega.imag
+        if det == 0.0 or not math.isfinite(det):
             return None
-        step = value / deriv
-        lam = lam - step
-        if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
+        step_omega = (value.real * by_tau.imag
+                      - by_tau.real * value.imag) / det
+        step_tau = (by_omega.real * value.imag
+                    - by_omega.imag * value.real) / det
+        rounding = _EPS * (gamma * omega * omega + abs(t_n * omega)
+                           + abs(b * omega) + m_size + abs(d_n)) / abs(det)
+        noise_omega = rounding * (abs(by_tau.real) + abs(by_tau.imag))
+        noise_tau = rounding * (abs(by_omega.real) + abs(by_omega.imag))
+        omega -= step_omega
+        tau -= step_tau
+        if not (math.isfinite(omega) and math.isfinite(tau)):
             return None
-    value, _ = _char_and_derivative(p, n, lam, tau)
-    return lam if abs(value) < _NEWTON_TOL else None
-
-
-def _delay_free_start(p: ModelParams, n: int) -> complex:
-    """Rightmost root at tau = 0 from the quadratic, assembled raw."""
-    m_eq, a_eq, j_mm, j_ma, j_am = _raw_kinetics_jacobian(p)
-    ksq = (n / p.l) ** 2
-    trace_term = (p.alpha + m_eq + (1.0 + p.gamma * p.d) * ksq
-                  - p.gamma * j_mm)
-    det_term = (p.d * ksq * (p.alpha + m_eq + ksq)
-                - j_mm * (p.alpha + m_eq + ksq) - j_ma * j_am)
-    disc = complex(trace_term * trace_term - 4.0 * p.gamma * det_term)
-    root_a = (-trace_term + disc ** 0.5) / (2.0 * p.gamma)
-    root_b = (-trace_term - disc ** 0.5) / (2.0 * p.gamma)
-    return root_a if root_a.real >= root_b.real else root_b
+        bound = noise_tau + abs(step_tau)
+        if abs(step_tau) <= noise_tau and abs(step_omega) <= noise_omega:
+            break
+    return tau if bound <= _CROSSING_TOL else None
 
 
 def newton_track_root(p: ModelParams, n: int, tau_from: float,
@@ -154,14 +219,18 @@ def newton_track_root(p: ModelParams, n: int, tau_from: float,
 
     Starts from the rightmost delay-free root Newton-converged at
     tau_from, then continues with warm starts.  A divergent target is
-    retried on recursively halved sub-steps; if it still fails it is
-    recorded unconverged and the track resumes from the last good root.
-    The first sign change of the tracked real part is refined by
-    bisection (with Newton re-convergence at each probe) to 1e-8.
+    retried on recursively halved sub-steps; at the deepest one a real
+    root is retried once off the real axis, where two real roots merge
+    into a complex pair, keeping the upper-half-plane root.  A target
+    that still fails is recorded unconverged and the track resumes from
+    the last good root.  The first sign change of the tracked real part
+    is polished by Newton in (omega, tau) on the imaginary axis, and
+    reported only where resolved to 1e-8.
     """
     if steps < 1:
         raise ValueError("need at least one continuation step")
-    start = _newton(p, n, _delay_free_start(p, n), tau_from)
+    terms = _mode_terms(p, n)
+    start = _newton(terms, _delay_free_start(terms), tau_from)
     if start is None:
         raise NumericalError(
             f"could not converge a starting root at tau = {tau_from:.6g}")
@@ -171,11 +240,19 @@ def newton_track_root(p: ModelParams, n: int, tau_from: float,
 
     def advance(lam: complex, tau_a: float, tau_b: float,
                 depth: int) -> Optional[complex]:
-        found = _newton(p, n, lam, tau_b)
+        found = _newton(terms, lam, tau_b)
         if found is not None:
             return found
         if depth >= _TRACK_MAX_DEPTH:
-            return None
+            # Newton keeps a real iterate real, so it cannot follow a
+            # real root into the complex pair that two real roots merge
+            # into.
+            if lam.imag != 0.0:
+                return None
+            found = _newton(terms, lam + 1e-3 * abs(lam) * 1j, tau_b)
+            if found is None:
+                return None
+            return complex(found.real, abs(found.imag))
         mid = 0.5 * (tau_a + tau_b)
         half = advance(lam, tau_a, mid, depth + 1)
         if half is None:
@@ -200,25 +277,9 @@ def newton_track_root(p: ModelParams, n: int, tau_from: float,
         if not (converged[k - 1] and converged[k]):
             continue
         re_a, re_b = roots[k - 1].real, roots[k].real
-        if re_a == 0.0:
-            crossing = float(taus[k - 1])
-            break
-        if re_a * re_b < 0.0:
-            lo, hi = float(taus[k - 1]), float(taus[k])
-            lam_lo = roots[k - 1]
-            sign_lo = math.copysign(1.0, re_a)
-            for _ in range(200):
-                if hi - lo <= 1e-8:
-                    break
-                mid = 0.5 * (lo + hi)
-                lam_mid = _newton(p, n, lam_lo, mid)
-                if lam_mid is None:
-                    break
-                if math.copysign(1.0, lam_mid.real) == sign_lo:
-                    lo, lam_lo = mid, lam_mid
-                else:
-                    hi = mid
-            crossing = 0.5 * (lo + hi)
+        if re_a == 0.0 or re_a * re_b < 0.0:
+            crossing = _polish_crossing(terms, roots[k - 1], roots[k],
+                                        float(taus[k - 1]), float(taus[k]))
             break
 
     return RootTrack(tau_values=tuple(float(t) for t in taus),
@@ -248,11 +309,11 @@ def bilinear_pairing_quadrature(p: ModelParams, q1: complex, q2: complex,
     head = left0 @ right0
     kernel = tau * np.array([[j_mm, j_ma], [0.0, 0.0]])
     xs = np.linspace(-1.0, 0.0, _PAIRING_POINTS)
-    integrand = np.empty(_PAIRING_POINTS, dtype=complex)
-    for k, xi in enumerate(xs):
-        left = left0 * np.exp(-1j * omega * tau * (xi + 1.0))
-        right = right0 * np.exp(phase * xi)
-        integrand[k] = left @ (kernel @ right)
+    nodes = xs[:, None]
+    left = left0 * np.exp(-1j * omega * tau * (nodes + 1.0))
+    right = right0 * np.exp(phase * nodes)
+    # left @ (kernel @ right) at each node, as stacked matrix products.
+    integrand = (left[:, None, :] @ (kernel @ right[:, :, None]))[:, 0, 0]
     return head + np.trapezoid(integrand, xs)
 
 

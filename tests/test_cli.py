@@ -591,6 +591,9 @@ BLOCK_OVERFLOW = ("error: discrete spectrum: a 2x2 block of the operator "
       "5.11236277441316e-06", "--gamma", "1e-160", "--l", "1e-300"],
      EXIT_NUMERICAL, "error: normal-form constants overflow: |g11| = "
      "1.222e+155, |g02| = 4.776e+155\n", None),
+    (["normal-form", "--r", "2", "--alpha", "0.1", "--gamma", "1e-309"],
+     EXIT_NUMERICAL, "error: quadratic brackets overflow: f_hat_20 or "
+     "f_hat_11 is not finite\n", None),
     (["verify", "--r", "6.934668275807624", "--alpha",
       "0.0007963736603806847", "--gamma", "1.7e308", "--d",
       "1.6410208000439576e-05"], EXIT_NUMERICAL,
@@ -612,7 +615,8 @@ BLOCK_OVERFLOW = ("error: discrete spectrum: a 2x2 block of the operator "
         "tau-star-script-t-underflow", "simulate-factorization-failure",
         "normal-form-small-domain", "tau-star-crossing-gap-overflow",
         "normal-form-crossing-gap-overflow", "normal-form-phase-underflow",
-        "normal-form-g11-overflow", "verify-discriminant-overflow",
+        "normal-form-g11-overflow", "normal-form-bracket-overflow",
+        "verify-discriminant-overflow",
         "verify-k4-overflow", "verify-block-gamma-underflow",
         "verify-block-d-overflow", "simulate-energy-overflow"])
 def test_an_overflow_or_underflow_ends_on_a_documented_exit(
@@ -746,16 +750,15 @@ def test_verify_matrix_is_pinned_at_the_reference_point(tmp_path):
         "check,status,detail\n"
         "delay_free_consistency,pass,max identity residual 2.274e-13\n"
         "discrete_spectrum_match,pass,worst relative mismatch 3.304e-04\n"
-        "newton_crossing_match,pass,|tracked - closed form| = 2.573e-09\n"
+        "newton_crossing_match,pass,|tracked - closed form| = 4.441e-16\n"
         "pairing_quadrature,pass,max pairing residual 4.393e-09\n"
         "region_map_consistency,pass,0 mismatching cells of 114\n")
 
 
 @pytest.mark.parametrize("fault, detail", [
-    (OverflowError("math range error"), "tracker overflowed"),
     (NumericalError("could not converge a starting root at tau = 0"),
      "tracker failed: could not converge a starting root at tau = 0"),
-], ids=["overflow", "numerical"])
+], ids=["numerical"])
 def test_verify_reports_a_failed_tracker_as_a_fail_row(
         tmp_path, capsys, monkeypatch, fault, detail):
     def failing(*args):
@@ -835,6 +838,17 @@ def test_classify_finds_the_discrete_minimum_past_mode_fifty(tmp_path):
     assert pattern["verdict"] == "turing-unstable"
     assert pattern["discrete_min_n"] == 232
     assert pattern["discrete_min_value"] == pytest.approx(-0.21083, abs=1e-5)
+
+
+def test_classify_band_discriminant_stays_a_number_where_it_overflows(
+        tmp_path):
+    # g*g and 4*d*d0 both overflow: inf - inf was written as "nan".
+    assert _run(["classify", "--r", "2", "--alpha", "0.1", "--gamma", "0.5",
+                 "--d", "1.7976931348623157e308", "--out",
+                 str(tmp_path)]) == EXIT_OK
+    report = json.loads((tmp_path / "classify_report.json").read_text())
+    assert report["pattern_analysis"]["band_discriminant"] == "inf"
+    assert report["pattern_analysis"]["verdict"] == "stable"
 
 
 # Each command at its smallest useful size, for the sweep over the box.

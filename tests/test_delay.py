@@ -19,7 +19,7 @@ from musselbed import (HypothesisError, ModelParams, NumericalError,
                        delay_char_coeffs, eigenvalue_slope, mode_ceiling,
                        tau_star)
 from musselbed import delay as delay_mod
-from musselbed.verify import _newton
+from musselbed.verify import _mode_terms, _newton
 
 REFERENCE = ModelParams(r=2.0, alpha=0.10, gamma=0.5, d=1.0)
 REF_OMEGA = 0.32534071178670415
@@ -173,8 +173,8 @@ def test_eigenvalue_slope_matches_tracked_root_difference():
     # tau* +/- h and difference the results.
     h = 1e-6
     lam0 = 1j * REF_OMEGA
-    lam_plus = _newton(REFERENCE, 0, lam0, REF_TAU + h)
-    lam_minus = _newton(REFERENCE, 0, lam0, REF_TAU - h)
+    lam_plus = _newton(_mode_terms(REFERENCE, 0), lam0, REF_TAU + h)
+    lam_minus = _newton(_mode_terms(REFERENCE, 0), lam0, REF_TAU - h)
     assert lam_plus is not None and lam_minus is not None
     fd = (lam_plus - lam_minus) / (2.0 * h)
     slope = eigenvalue_slope(REFERENCE, 0, lam0, REF_TAU)
